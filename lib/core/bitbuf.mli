@@ -1,9 +1,13 @@
 (** Growable bit buffers: the substrate of the Figure 14 compact trace
-    encoding.
+    encoding, the REVL event payload and the RSNP section payloads.
 
-    Bits are written most-significant-first within each byte, so the
-    serialized form is deterministic and the reader consumes bits in write
-    order. *)
+    A writer appends whole fields of 0 to 32 bits per call; a reader takes
+    them back the same way.  Bits are written most-significant-first
+    within each byte and a field's bits keep their order, so writing a
+    [k]-bit field is the same as writing its [k] bits one at a time from
+    the top; the final partial byte is zero-padded.  The serialized form is
+    therefore deterministic and independent of how the bits were split
+    into fields. *)
 
 module Writer : sig
   type t
@@ -11,11 +15,10 @@ module Writer : sig
   val create : unit -> t
   val add_bit : t -> bool -> unit
 
-  val add_bits2 : t -> int -> unit
-  (** Append a 2-bit code (value in [[0, 3]]). *)
-
-  val add_uint32 : t -> int -> unit
-  (** Append a 32-bit big-endian unsigned value (value in [[0, 2^32)]). *)
+  val add_bits : t -> int -> int -> unit
+  (** [add_bits t v k] appends the low [k] bits of [v], most significant
+      first.
+      @raise Invalid_argument unless [0 <= k <= 32] and [0 <= v < 2^k]. *)
 
   val length_bits : t -> int
 
@@ -25,19 +28,30 @@ module Writer : sig
 
   val contents : t -> bytes
   (** The written bits, final partial byte zero-padded. *)
+
+  val blit : t -> bytes -> pos:int -> unit
+  (** [blit t dst ~pos] stores {!contents} into [dst] at [pos] without an
+      intermediate copy: [byte_length t] bytes.
+      @raise Invalid_argument if they do not fit. *)
 end
 
 module Reader : sig
   type t
 
-  val create : bytes -> n_bits:int -> t
+  val create : ?pos:int -> bytes -> n_bits:int -> t
+  (** Read [n_bits] bits starting at byte [pos] (default 0) of the buffer.
+      @raise Invalid_argument if those bits run past the buffer. *)
+
   val read_bit : t -> bool
 
-  val read_bits2 : t -> int
-  val read_uint32 : t -> int
+  val read_bits : t -> int -> int
+  (** [read_bits t k] reads a [k]-bit field written by
+      {!Writer.add_bits}.
+      @raise Invalid_argument unless [0 <= k <= 32]. *)
 
   val remaining_bits : t -> int
 
   exception Out_of_bits
-  (** Raised when reading past [n_bits]. *)
+  (** Raised by a read that would go past [n_bits]; the reader does not
+      move. *)
 end

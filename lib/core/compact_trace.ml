@@ -30,21 +30,21 @@ let encode (path : Region.path) =
         | Some _ | None -> ())
       | Terminator.Cond tgt -> (
         match succ with
-        | Some s when Addr.equal s tgt -> Bitbuf.Writer.add_bits2 w code_taken
+        | Some s when Addr.equal s tgt -> Bitbuf.Writer.add_bits w code_taken 2
         | Some s when Addr.equal s (Block.fall_addr b) ->
-          Bitbuf.Writer.add_bits2 w code_not_taken
+          Bitbuf.Writer.add_bits w code_not_taken 2
         | Some s -> inconsistent b s
         | None -> ())
       | Terminator.Jump tgt | Terminator.Call tgt -> (
         match succ with
-        | Some s when Addr.equal s tgt -> Bitbuf.Writer.add_bits2 w code_taken
+        | Some s when Addr.equal s tgt -> Bitbuf.Writer.add_bits w code_taken 2
         | Some s -> inconsistent b s
         | None -> ())
       | Terminator.Return | Terminator.Indirect_jump | Terminator.Indirect_call -> (
         match succ with
         | Some s ->
-          Bitbuf.Writer.add_bits2 w code_indirect;
-          Bitbuf.Writer.add_uint32 w s
+          Bitbuf.Writer.add_bits w code_indirect 2;
+          Bitbuf.Writer.add_bits w s 32
         | None -> ())
     in
     let rec go = function
@@ -57,8 +57,8 @@ let encode (path : Region.path) =
         go rest
     in
     let last = go path.blocks in
-    Bitbuf.Writer.add_bits2 w code_end;
-    Bitbuf.Writer.add_uint32 w (Block.last last);
+    Bitbuf.Writer.add_bits w code_end 2;
+    Bitbuf.Writer.add_bits w (Block.last last) 32;
     {
       entry = first.Block.start;
       data = Bitbuf.Writer.contents w;
@@ -93,9 +93,9 @@ type token = Taken | Not_taken | Indirect of Addr.t
 let read_tokens t =
   let r = Bitbuf.Reader.create t.data ~n_bits:t.n_bits in
   let rec collect acc =
-    let code = Bitbuf.Reader.read_bits2 r in
-    if code = code_end then List.rev acc, Bitbuf.Reader.read_uint32 r
-    else if code = code_indirect then collect (Indirect (Bitbuf.Reader.read_uint32 r) :: acc)
+    let code = Bitbuf.Reader.read_bits r 2 in
+    if code = code_end then List.rev acc, Bitbuf.Reader.read_bits r 32
+    else if code = code_indirect then collect (Indirect (Bitbuf.Reader.read_bits r 32) :: acc)
     else if code = code_not_taken then collect (Not_taken :: acc)
     else collect (Taken :: acc)
   in

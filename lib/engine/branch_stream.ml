@@ -17,12 +17,14 @@ type events = {
 
 type t = Interp.step -> bool
 
-let recorder () = { packed = Array.make 1024 0; next = Array.make 1024 0; len = 0 }
+let recorder ?(capacity = 1024) () =
+  if capacity < 0 then invalid_arg "Branch_stream.recorder: negative capacity";
+  { packed = Array.make capacity 0; next = Array.make capacity 0; len = 0 }
 
 let grow ev =
-  let cap = Array.length ev.packed in
-  let packed = Array.make (2 * cap) 0 in
-  let next = Array.make (2 * cap) 0 in
+  let cap = max 16 (2 * Array.length ev.packed) in
+  let packed = Array.make cap 0 in
+  let next = Array.make cap 0 in
   Array.blit ev.packed 0 packed 0 ev.len;
   Array.blit ev.next 0 next 0 ev.len;
   ev.packed <- packed;
@@ -39,6 +41,10 @@ let append ev (s : Interp.step) =
   append_event ev ~block_id:s.Interp.block_id ~taken:s.Interp.taken ~next:s.Interp.next
 
 let length ev = ev.len
+
+let truncate ev n =
+  if n < 0 || n > ev.len then invalid_arg "Branch_stream.truncate: length outside the recording";
+  ev.len <- n
 
 let get_block_id ev i = ev.packed.(i) lsr 1
 let get_taken ev i = ev.packed.(i) land 1 = 1

@@ -23,8 +23,11 @@ type t
 (** A stream: pulls the next branch event into a caller-owned step record.
     Allocation-free per event. *)
 
-val recorder : unit -> events
-(** A fresh, empty recording to pass as [Simulator.create ~record]. *)
+val recorder : ?capacity:int -> unit -> events
+(** A fresh, empty recording to pass as [Simulator.create ~record].
+    [capacity] (default 1024) presizes it: a decoder that knows its event
+    count appends without growing.
+    @raise Invalid_argument on a negative capacity. *)
 
 val append : events -> Interp.step -> unit
 (** Append the event a filled step record describes.  Amortized O(1). *)
@@ -34,6 +37,11 @@ val append_event : events -> block_id:int -> taken:bool -> next:Regionsel_isa.Ad
     @raise Invalid_argument on a negative block id. *)
 
 val length : events -> int
+
+val truncate : events -> int -> unit
+(** [truncate ev n] drops every event from index [n] on: the rollback of
+    a failed append run.
+    @raise Invalid_argument unless [0 <= n <= length ev]. *)
 
 val get_block_id : events -> int -> int
 val get_taken : events -> int -> bool

@@ -2,11 +2,20 @@
 
    The file is the persistent form of a [Branch_stream.events] recording:
    a CRC'd identity header (program shape + seed, the two inputs that
-   determine the branch stream) followed by one bit-packed payload.  Each
-   event costs [kb + 1 + kn] bits where [kb]/[kn] are the minimal widths
-   for a block id / successor code under the program's block count — for
-   the bundled workloads (tens to hundreds of blocks) that is ~2 bytes per
-   event against the 24 bytes of the in-memory arrays.
+   determine the branch stream) followed by one bit-packed payload:
+
+       "REVL" | u32 version | u32 n_blocks | u32 seed lo | u32 seed hi
+       | u32 n_events lo | u32 n_events hi | u32 crc32(bytes 0..27)
+       | u32 n_bits | payload | u32 crc32(payload)
+
+   Each event is one [kb + 1 + kn]-bit field — block id, taken flag,
+   successor code (0 for a halt, else the successor's block id + 1) —
+   where [kb]/[kn] are the minimal widths for a block id / successor code
+   under the program's block count.  A field wider than the 32 bits a
+   [Bitbuf] call takes (past 2^16 blocks) goes as two calls, its high
+   bits then its low 32, which gives the same bits.  For the bundled
+   workloads (tens to hundreds of blocks) that is ~2 bytes per event
+   against the 24 bytes of the in-memory arrays.
 
    Unlike snapshots there is no per-section degrade path: a recording with
    any corrupt byte cannot be replayed bit-identically, which is its whole
@@ -18,124 +27,124 @@ module Bitbuf = Regionsel_core.Bitbuf
 
 let magic = "REVL"
 let version = 1
+let header_len = 36
 
 (* Bits to represent every value in [0, max]. *)
 let bits_for max =
   let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
   if max = 0 then 1 else go 0 max
 
-let add_bits w v k =
-  for i = k - 1 downto 0 do
-    Bitbuf.Writer.add_bit w ((v lsr i) land 1 = 1)
-  done
-
-let read_bits r k =
-  let v = ref 0 in
-  for _ = 1 to k do
-    v := (!v lsl 1) lor if Bitbuf.Reader.read_bit r then 1 else 0
-  done;
-  !v
-
-let bu32 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
-
-let ru32 bytes pos =
-  (Char.code (Bytes.get bytes pos) lsl 24)
-  lor (Char.code (Bytes.get bytes (pos + 1)) lsl 16)
-  lor (Char.code (Bytes.get bytes (pos + 2)) lsl 8)
-  lor Char.code (Bytes.get bytes (pos + 3))
-
-let seed_lo seed = Int64.to_int (Int64.logand seed 0xFFFFFFFFL)
-let seed_hi seed = Int64.to_int (Int64.shift_right_logical seed 32)
-
 let corrupt reason = raise (Persist.Hard_corruption ("event log: " ^ reason))
 
-let pack_event w ~program ~n_blocks ~kb ~kn ~block_id ~taken ~next =
-  if block_id >= n_blocks then invalid_arg "Event_log.encode: block id outside the program";
-  add_bits w block_id kb;
-  Bitbuf.Writer.add_bit w taken;
-  let code =
-    if next = Addr.none then 0
-    else begin
-      let id = Program.block_id program next in
-      if id < 0 then invalid_arg "Event_log.encode: successor is not a block start";
-      id + 1
-    end
-  in
-  add_bits w code kn
+(* How events pack under a program: the block-id and successor-code
+   widths, and their sum, the event's field width. *)
+type layout = { program : Program.t; n_blocks : int; kb : int; kn : int; width : int }
 
-let unpack_event r ~program ~n_blocks ~kb ~kn ~into =
-  let block_id = read_bits r kb in
-  if block_id >= n_blocks then corrupt "block id outside the program";
-  let taken = Bitbuf.Reader.read_bit r in
-  let code = read_bits r kn in
-  if code > n_blocks then corrupt "successor code outside the program";
-  let next =
-    if code = 0 then Addr.none else (Program.block_of_id program (code - 1)).Block.start
-  in
-  Branch_stream.append_event into ~block_id ~taken ~next
+let layout program =
+  let n_blocks = Program.n_blocks program in
+  let kb = bits_for (n_blocks - 1) and kn = bits_for n_blocks in
+  { program; n_blocks; kb; kn; width = kb + 1 + kn }
+
+let pack_range l w events ~pos ~len =
+  for i = pos to pos + len - 1 do
+    let block_id = Branch_stream.get_block_id events i in
+    if block_id >= l.n_blocks then invalid_arg "Event_log.encode: block id outside the program";
+    let taken = Bool.to_int (Branch_stream.get_taken events i) in
+    let next = Branch_stream.get_next events i in
+    let code =
+      if next = Addr.none then 0
+      else begin
+        let id = Program.block_id l.program next in
+        if id < 0 then invalid_arg "Event_log.encode: successor is not a block start";
+        id + 1
+      end
+    in
+    let v = (((block_id lsl 1) lor taken) lsl l.kn) lor code in
+    if l.width <= 32 then Bitbuf.Writer.add_bits w v l.width
+    else begin
+      Bitbuf.Writer.add_bits w (v lsr 32) (l.width - 32);
+      Bitbuf.Writer.add_bits w (v land 0xFFFF_FFFF) 32
+    end
+  done
+
+let unpack l r ~n_events ~into =
+  let code_mask = (1 lsl l.kn) - 1 in
+  for _ = 1 to n_events do
+    let v =
+      if l.width <= 32 then Bitbuf.Reader.read_bits r l.width
+      else
+        let hi = Bitbuf.Reader.read_bits r (l.width - 32) in
+        (hi lsl 32) lor Bitbuf.Reader.read_bits r 32
+    in
+    let block_id = v lsr (l.kn + 1) and code = v land code_mask in
+    if block_id >= l.n_blocks then corrupt "block id outside the program";
+    if code > l.n_blocks then corrupt "successor code outside the program";
+    let next =
+      if code = 0 then Addr.none else (Program.block_of_id l.program (code - 1)).Block.start
+    in
+    Branch_stream.append_event into ~block_id ~taken:((v lsr l.kn) land 1 = 1) ~next
+  done
+
+(* [header] bytes for the caller to fill, then the payload and its CRC. *)
+let seal w ~header =
+  let plen = Bitbuf.Writer.byte_length w in
+  let out = Bytes.create (header + plen + 4) in
+  Bitbuf.Writer.blit w out ~pos:header;
+  Wire.set_u32 out (header + plen) (Wire.crc32 out ~pos:header ~len:plen);
+  out
+
+(* Validate the payload behind a [header]-byte prefix and open a reader on
+   it in place.  The count check divides rather than multiplies, so no
+   count can wrap around to a matching bit total. *)
+let open_payload bytes l ~what ~header ~n_events ~n_bits =
+  if n_bits mod l.width <> 0 || n_bits / l.width <> n_events then
+    corrupt "event count disagrees with payload size";
+  let plen = (n_bits + 7) / 8 in
+  if Bytes.length bytes <> header + plen + 4 then corrupt ("truncated " ^ what);
+  if Wire.crc32 bytes ~pos:header ~len:plen <> Wire.ru32 bytes (header + plen) then
+    corrupt (what ^ " checksum mismatch");
+  Bitbuf.Reader.create ~pos:header bytes ~n_bits
 
 let encode ~program ~seed events =
-  let n_blocks = Program.n_blocks program in
-  let kb = bits_for (n_blocks - 1) in
-  let kn = bits_for n_blocks in
+  let l = layout program in
+  let n_events = Branch_stream.length events in
   let w = Bitbuf.Writer.create () in
-  Branch_stream.iter
-    (fun ~block_id ~taken ~next -> pack_event w ~program ~n_blocks ~kb ~kn ~block_id ~taken ~next)
-    events;
-  let payload = Bitbuf.Writer.contents w in
-  let n_bits = Bitbuf.Writer.length_bits w in
-  let header = Buffer.create 32 in
-  Buffer.add_string header magic;
-  bu32 header version;
-  bu32 header n_blocks;
-  bu32 header (seed_lo seed);
-  bu32 header (seed_hi seed);
-  bu32 header (Branch_stream.length events land 0xFFFFFFFF);
-  bu32 header ((Branch_stream.length events asr 32) land 0x7FFFFFFF);
-  let hbytes = Buffer.to_bytes header in
-  let out = Buffer.create (Bytes.length hbytes + Bytes.length payload + 16) in
-  Buffer.add_bytes out hbytes;
-  bu32 out (Persist.crc32 hbytes ~pos:0 ~len:(Bytes.length hbytes));
-  bu32 out n_bits;
-  Buffer.add_bytes out payload;
-  bu32 out (Persist.crc32 payload ~pos:0 ~len:(Bytes.length payload));
-  Buffer.to_bytes out
+  pack_range l w events ~pos:0 ~len:n_events;
+  let out = seal w ~header:header_len in
+  Bytes.blit_string magic 0 out 0 4;
+  Wire.set_u32 out 4 version;
+  Wire.set_u32 out 8 l.n_blocks;
+  Wire.set_u32 out 12 (Wire.seed_lo seed);
+  Wire.set_u32 out 16 (Wire.seed_hi seed);
+  Wire.set_u32 out 20 (Wire.lo_word n_events);
+  Wire.set_u32 out 24 (Wire.hi_word n_events);
+  Wire.set_u32 out 28 (Wire.crc32 out ~pos:0 ~len:28);
+  Wire.set_u32 out 32 (Bitbuf.Writer.length_bits w);
+  out
 
 let decode bytes ~program ~seed =
-  let total = Bytes.length bytes in
-  if total < 36 then corrupt "truncated header";
+  if Bytes.length bytes < header_len then corrupt "truncated header";
   if Bytes.sub_string bytes 0 4 <> magic then corrupt "bad magic";
-  let stored_header_crc = ru32 bytes 28 in
-  if Persist.crc32 bytes ~pos:0 ~len:28 <> stored_header_crc then
-    corrupt "header checksum mismatch";
-  let v = ru32 bytes 4 in
+  if Wire.crc32 bytes ~pos:0 ~len:28 <> Wire.ru32 bytes 28 then corrupt "header checksum mismatch";
+  let v = Wire.ru32 bytes 4 in
   if v <> version then corrupt (Printf.sprintf "unsupported version %d" v);
-  let n_blocks = ru32 bytes 8 in
-  if n_blocks <> Program.n_blocks program then
+  let l = layout program in
+  let n_blocks = Wire.ru32 bytes 8 in
+  if n_blocks <> l.n_blocks then
     corrupt
-      (Printf.sprintf "program mismatch (%d blocks recorded, %d here)" n_blocks
-         (Program.n_blocks program));
-  if ru32 bytes 12 <> seed_lo seed || ru32 bytes 16 <> seed_hi seed then
+      (Printf.sprintf "program mismatch (%d blocks recorded, %d here)" n_blocks l.n_blocks);
+  if Wire.ru32 bytes 12 <> Wire.seed_lo seed || Wire.ru32 bytes 16 <> Wire.seed_hi seed then
     corrupt "seed mismatch";
-  let n_events = (ru32 bytes 24 lsl 32) lor ru32 bytes 20 in
-  let n_bits = ru32 bytes 32 in
-  let kb = bits_for (n_blocks - 1) in
-  let kn = bits_for n_blocks in
-  if n_events * (kb + 1 + kn) <> n_bits then corrupt "event count disagrees with payload size";
-  let plen = (n_bits + 7) / 8 in
-  if total <> 36 + plen + 4 then corrupt "truncated payload";
-  let payload = Bytes.sub bytes 36 plen in
-  if Persist.crc32 payload ~pos:0 ~len:plen <> ru32 bytes (36 + plen) then
-    corrupt "payload checksum mismatch";
-  let r = Bitbuf.Reader.create payload ~n_bits in
-  let events = Branch_stream.recorder () in
-  for _ = 1 to n_events do
-    unpack_event r ~program ~n_blocks ~kb ~kn ~into:events
-  done;
+  let n_events =
+    match Wire.nonneg63 ~hi:(Wire.ru32 bytes 24) ~lo:(Wire.ru32 bytes 20) with
+    | n -> n
+    | exception Failure msg -> corrupt ("event count " ^ msg)
+  in
+  let r =
+    open_payload bytes l ~what:"payload" ~header:header_len ~n_events ~n_bits:(Wire.ru32 bytes 32)
+  in
+  let events = Branch_stream.recorder ~capacity:n_events () in
+  unpack l r ~n_events ~into:events;
   events
 
 (* The wire form of a recording slice — the daemon's Events frame body.
@@ -147,51 +156,29 @@ let decode bytes ~program ~seed =
 let encode_batch ~program events ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Branch_stream.length events then
     invalid_arg "Event_log.encode_batch: range outside the recording";
-  let n_blocks = Program.n_blocks program in
-  let kb = bits_for (n_blocks - 1) in
-  let kn = bits_for n_blocks in
   let w = Bitbuf.Writer.create () in
-  for i = pos to pos + len - 1 do
-    pack_event w ~program ~n_blocks ~kb ~kn
-      ~block_id:(Branch_stream.get_block_id events i)
-      ~taken:(Branch_stream.get_taken events i)
-      ~next:(Branch_stream.get_next events i)
-  done;
-  let payload = Bitbuf.Writer.contents w in
-  let n_bits = Bitbuf.Writer.length_bits w in
-  let out = Buffer.create (Bytes.length payload + 16) in
-  bu32 out len;
-  bu32 out n_bits;
-  Buffer.add_bytes out payload;
-  bu32 out (Persist.crc32 payload ~pos:0 ~len:(Bytes.length payload));
-  Buffer.to_bytes out
+  pack_range (layout program) w events ~pos ~len;
+  let out = seal w ~header:8 in
+  Wire.set_u32 out 0 len;
+  Wire.set_u32 out 4 (Bitbuf.Writer.length_bits w);
+  out
 
 let decode_batch bytes ~program ~into =
-  let total = Bytes.length bytes in
-  if total < 12 then corrupt "truncated batch";
-  let n_events = ru32 bytes 0 in
-  let n_bits = ru32 bytes 4 in
-  let n_blocks = Program.n_blocks program in
-  let kb = bits_for (n_blocks - 1) in
-  let kn = bits_for n_blocks in
-  if n_events * (kb + 1 + kn) <> n_bits then corrupt "event count disagrees with payload size";
-  let plen = (n_bits + 7) / 8 in
-  if total <> 8 + plen + 4 then corrupt "truncated batch payload";
-  let payload = Bytes.sub bytes 8 plen in
-  if Persist.crc32 payload ~pos:0 ~len:plen <> ru32 bytes (8 + plen) then
-    corrupt "batch payload checksum mismatch";
-  let r = Bitbuf.Reader.create payload ~n_bits in
-  (* Unpack into a scratch recorder first: a payload whose checksum holds
-     but whose events fail validation (block ids outside the program) must
-     not leave a partial append in [into] — callers feed live replay
-     streams. *)
-  let scratch = Branch_stream.recorder () in
-  for _ = 1 to n_events do
-    unpack_event r ~program ~n_blocks ~kb ~kn ~into:scratch
-  done;
-  Branch_stream.iter
-    (fun ~block_id ~taken ~next -> Branch_stream.append_event into ~block_id ~taken ~next)
-    scratch;
+  if Bytes.length bytes < 12 then corrupt "truncated batch";
+  let n_events = Wire.ru32 bytes 0 in
+  let l = layout program in
+  let r =
+    open_payload bytes l ~what:"batch payload" ~header:8 ~n_events ~n_bits:(Wire.ru32 bytes 4)
+  in
+  (* A payload whose checksum holds but whose events fail validation
+     (block ids outside the program) must not leave a partial append in
+     [into] — callers feed live replay streams — so a failure rolls
+     [into] back to where it stood. *)
+  let before = Branch_stream.length into in
+  (try unpack l r ~n_events ~into
+   with e ->
+     Branch_stream.truncate into before;
+     raise e);
   n_events
 
 let write_file ~path ~program ~seed events =
@@ -199,11 +186,4 @@ let write_file ~path ~program ~seed events =
   Io.write_atomic ~path data;
   Bytes.length data
 
-let read_file ~path ~program ~seed =
-  let ic = open_in_bin path in
-  let data =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  decode (Bytes.of_string data) ~program ~seed
+let read_file ~path ~program ~seed = decode (Io.read_file path) ~program ~seed

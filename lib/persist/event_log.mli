@@ -72,5 +72,7 @@ val decode_batch :
   into:Regionsel_engine.Branch_stream.events ->
   int
 (** Validate and append a batch's events onto [into] (a live replay
-    source may be consuming it), returning the number appended.
+    source may be consuming it), returning the number appended.  A batch
+    is appended whole or not at all: on any failure [into] keeps its
+    length and contents.
     @raise Persist.Hard_corruption on any validation failure. *)

@@ -65,3 +65,12 @@ let write_atomic ?crash_after_bytes ~path data =
        raise e);
     Unix.close fd;
     Unix.rename tmp path
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let data = Bytes.create (in_channel_length ic) in
+      really_input ic data 0 (Bytes.length data);
+      data)

@@ -27,3 +27,7 @@ val write_atomic : ?crash_after_bytes:int -> path:string -> Bytes.t -> unit
     write stops after [n] bytes of the temporary and neither fsyncs nor
     renames — the simulated mid-write crash: [path] keeps whatever it
     held before. *)
+
+val read_file : string -> bytes
+(** The whole file, read straight into the returned buffer.
+    @raise Sys_error when it cannot be opened. *)

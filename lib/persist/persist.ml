@@ -10,53 +10,15 @@ type report = { restored : string list; degraded : degraded list; skipped : int 
 
 let clean r = r.degraded = []
 
-(* CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc_update c bytes ~pos ~len =
-  let table = Lazy.force crc_table in
-  let c = ref c in
-  for i = pos to pos + len - 1 do
-    c := Array.unsafe_get table ((!c lxor Char.code (Bytes.get bytes i)) land 0xFF) lxor (!c lsr 8)
-  done;
-  !c
-
-let crc32 bytes ~pos ~len = crc_update 0xFFFFFFFF bytes ~pos ~len lxor 0xFFFFFFFF
-
-(* A section's checksum covers its 12-byte frame header (tag, version,
-   payload length) and the payload.  Covering the header matters: a bit
-   flip in the tag would otherwise turn a known section into a
-   silently-skipped "unknown" one — data loss with a clean report. *)
-let crc32_frame bytes ~hpos ~ppos ~plen =
-  crc_update (crc_update 0xFFFFFFFF bytes ~pos:hpos ~len:12) bytes ~pos:ppos ~len:plen
-  lxor 0xFFFFFFFF
-
-(* Every quantity in the file is a big-endian u32; OCaml ints ride as two
-   of them, low word first then the high 31 bits ([asr 32] keeps the sign
-   in bit 30), which reconstructs every 63-bit int exactly. *)
-
-let bu32 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
-
+(* Section payloads are streams of ints, each as two 32-bit fields, low
+   word first. *)
 let emit_int w v =
-  Bitbuf.Writer.add_uint32 w (v land 0xFFFFFFFF);
-  Bitbuf.Writer.add_uint32 w ((v asr 32) land 0x7FFFFFFF)
+  Bitbuf.Writer.add_bits w (Wire.lo_word v) 32;
+  Bitbuf.Writer.add_bits w (Wire.hi_word v) 32
 
 let read_int r =
-  let lo = Bitbuf.Reader.read_uint32 r in
-  let hi = Bitbuf.Reader.read_uint32 r in
-  if hi > 0x7FFFFFFF then failwith "malformed int (high half out of range)";
-  (hi lsl 32) lor lo
+  let lo = Bitbuf.Reader.read_bits r 32 in
+  Wire.int63 ~hi:(Bitbuf.Reader.read_bits r 32) ~lo
 
 let magic = "RSNP"
 let format_version = 1
@@ -86,38 +48,40 @@ let tag_of_section name =
 
 let section_of_tag tag = Option.map snd (List.find_opt (fun (t, _) -> t = tag) tags)
 
-let seed_lo seed = Int64.to_int (Int64.logand seed 0xFFFFFFFFL)
-let seed_hi seed = Int64.to_int (Int64.shift_right_logical seed 32)
+(* A section's checksum covers its 12-byte frame header (tag, version,
+   payload length) and the payload.  Covering the header matters: a bit
+   flip in the tag would otherwise turn a known section into a
+   silently-skipped "unknown" one — data loss with a clean report. *)
+let frame_crc hdr ~hpos payload ~ppos ~plen =
+  Wire.crc32 ~crc:(Wire.crc32 hdr ~pos:hpos ~len:12) payload ~pos:ppos ~len:plen
 
 let encode ~seed ~policy (internals : Simulator.internals) =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf magic;
-  bu32 buf format_version;
-  bu32 buf (Program.n_blocks internals.Simulator.int_ctx.Context.program);
-  bu32 buf (seed_lo seed);
-  bu32 buf (seed_hi seed);
-  bu32 buf (String.length policy);
+  Wire.bu32 buf format_version;
+  Wire.bu32 buf (Program.n_blocks internals.Simulator.int_ctx.Context.program);
+  Wire.bu32 buf (Wire.seed_lo seed);
+  Wire.bu32 buf (Wire.seed_hi seed);
+  Wire.bu32 buf (String.length policy);
   Buffer.add_string buf policy;
   (* The section count makes a truncation at an exact frame boundary
      detectable: without it, a snapshot cut between frames parses as a
      shorter-but-valid file and the missing tail would re-warm silently. *)
-  bu32 buf (List.length internals.Simulator.int_sections);
+  Wire.bu32 buf (List.length internals.Simulator.int_sections);
   let header = Buffer.to_bytes buf in
-  bu32 buf (crc32 header ~pos:0 ~len:(Bytes.length header));
+  Wire.bu32 buf (Wire.crc32 header ~pos:0 ~len:(Bytes.length header));
   List.iter
     (fun (s : Simulator.section) ->
       let w = Bitbuf.Writer.create () in
       s.Simulator.sec_save (emit_int w);
       let payload = Bitbuf.Writer.contents w in
-      let len = Bytes.length payload in
-      let hdr = Buffer.create 12 in
-      bu32 hdr (tag_of_section s.Simulator.sec_name);
-      bu32 hdr section_version;
-      bu32 hdr len;
-      let hdr = Buffer.to_bytes hdr in
-      let framed = Bytes.cat hdr payload in
+      let plen = Bytes.length payload in
+      let hdr = Bytes.create 12 in
+      Wire.set_u32 hdr 0 (tag_of_section s.Simulator.sec_name);
+      Wire.set_u32 hdr 4 section_version;
+      Wire.set_u32 hdr 8 plen;
       Buffer.add_bytes buf hdr;
-      bu32 buf (crc32_frame framed ~hpos:0 ~ppos:12 ~plen:len);
+      Wire.bu32 buf (frame_crc hdr ~hpos:0 payload ~ppos:0 ~plen);
       Buffer.add_bytes buf payload)
     internals.Simulator.int_sections;
   Buffer.to_bytes buf
@@ -127,12 +91,7 @@ let decode_into bytes ~seed ~policy (internals : Simulator.internals) =
   let pos = ref 0 in
   let hard msg = raise (Hard_corruption msg) in
   let u32 () =
-    let v =
-      (Char.code (Bytes.get bytes !pos) lsl 24)
-      lor (Char.code (Bytes.get bytes (!pos + 1)) lsl 16)
-      lor (Char.code (Bytes.get bytes (!pos + 2)) lsl 8)
-      lor Char.code (Bytes.get bytes (!pos + 3))
-    in
+    let v = Wire.ru32 bytes !pos in
     pos := !pos + 4;
     v
   in
@@ -152,13 +111,13 @@ let decode_into bytes ~seed ~policy (internals : Simulator.internals) =
   let n_sections = u32_hard "section count" in
   let header_end = !pos in
   let header_crc = u32_hard "header checksum" in
-  if header_crc <> crc32 bytes ~pos:0 ~len:header_end then hard "header checksum mismatch";
+  if header_crc <> Wire.crc32 bytes ~pos:0 ~len:header_end then hard "header checksum mismatch";
   let run_blocks = Program.n_blocks internals.Simulator.int_ctx.Context.program in
   if n_blocks <> run_blocks then
     hard
       (Printf.sprintf "snapshot is for a different program (%d blocks, this run has %d)"
          n_blocks run_blocks);
-  let snap_seed = Int64.logor (Int64.of_int slo) (Int64.shift_left (Int64.of_int shi) 32) in
+  let snap_seed = Wire.seed_of_words ~hi:shi ~lo:slo in
   if not (Int64.equal snap_seed seed) then
     hard (Printf.sprintf "snapshot seed %Ld does not match this run's seed %Ld" snap_seed seed);
   if not (String.equal snap_policy policy) then
@@ -198,7 +157,7 @@ let decode_into bytes ~seed ~policy (internals : Simulator.internals) =
       else begin
         let ppos = !pos in
         pos := !pos + plen;
-        if pcrc <> crc32_frame bytes ~hpos:fpos ~ppos ~plen then
+        if pcrc <> frame_crc bytes ~hpos:fpos bytes ~ppos ~plen then
           drop sec_name "checksum mismatch"
         else
           match find_section sec_name with
@@ -212,8 +171,7 @@ let decode_into bytes ~seed ~policy (internals : Simulator.internals) =
             if sver <> section_version then
               drop sec_name (Printf.sprintf "unsupported section version %d" sver)
             else begin
-            let payload = Bytes.sub bytes ppos plen in
-            let r = Bitbuf.Reader.create payload ~n_bits:(plen * 8) in
+            let r = Bitbuf.Reader.create ~pos:ppos bytes ~n_bits:(plen * 8) in
             match s.Simulator.sec_load (fun () -> read_int r) with
             | () -> restored := sec_name :: !restored
             | exception Failure msg -> drop sec_name msg
@@ -248,13 +206,7 @@ let session_file ~dir ~tenant ~bench ~policy ~seed =
   let stem = if stem = "" then "tenant" else stem in
   let ident = Bytes.of_string (Printf.sprintf "%s|%s|%s|%Ld" tenant bench policy seed) in
   Filename.concat dir
-    (Printf.sprintf "%s-%08x.session" stem (crc32 ident ~pos:0 ~len:(Bytes.length ident)))
+    (Printf.sprintf "%s-%08x.session" stem (Wire.crc32 ident ~pos:0 ~len:(Bytes.length ident)))
 
 let restore_file ~path ~seed ~policy internals =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      let data = really_input_string ic n in
-      decode_into (Bytes.of_string data) ~seed ~policy internals)
+  decode_into (Io.read_file path) ~seed ~policy internals

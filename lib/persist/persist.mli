@@ -47,11 +47,6 @@ type report = {
 val clean : report -> bool
 (** No degraded sections. *)
 
-val crc32 : Bytes.t -> pos:int -> len:int -> int
-(** The CRC32 (IEEE 802.3) every persisted artifact in this layer is
-    checked with — shared with {!Event_log} so recordings and snapshots
-    corrupt (and are caught) the same way. *)
-
 (** {1 In-memory image} *)
 
 val encode : seed:int64 -> policy:string -> Simulator.internals -> bytes

@@ -14,6 +14,8 @@
    [--frames] axis drives arbitrary garbage through [Dechunker] to pin
    that. *)
 
+module Wire = Regionsel_persist.Wire
+
 exception Protocol_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Protocol_error s)) fmt
@@ -78,28 +80,22 @@ let code_of_reject c =
 
 (* --- Encoding --------------------------------------------------------- *)
 
-let bu32 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
-
 let bu64 buf v =
-  bu32 buf ((v asr 32) land 0x7FFFFFFF);
-  bu32 buf (v land 0xFFFFFFFF)
+  Wire.bu32 buf (Wire.hi_word v);
+  Wire.bu32 buf (Wire.lo_word v)
 
 let bseed buf seed =
-  bu32 buf (Int64.to_int (Int64.shift_right_logical seed 32));
-  bu32 buf (Int64.to_int (Int64.logand seed 0xFFFFFFFFL))
+  Wire.bu32 buf (Wire.seed_hi seed);
+  Wire.bu32 buf (Wire.seed_lo seed)
 
 let bstring buf s =
   if String.length s > max_string then invalid_arg "Proto: string too long";
-  bu32 buf (String.length s);
+  Wire.bu32 buf (String.length s);
   Buffer.add_string buf s
 
 let btext buf s =
   if String.length s > max_text then invalid_arg "Proto: text too long";
-  bu32 buf (String.length s);
+  Wire.bu32 buf (String.length s);
   Buffer.add_string buf s
 
 let kind_of = function
@@ -113,32 +109,32 @@ let kind_of = function
   | Data _ -> 13
 
 let encode msg =
-  let body = Buffer.create 64 in
+  let out = Buffer.create (match msg with Events b -> 5 + Bytes.length b | _ -> 64) in
+  Wire.bu32 out 0 (* the length, set below *);
+  Buffer.add_char out (Char.chr (kind_of msg));
   (match msg with
   | Hello h ->
-    bstring body h.h_tenant;
-    bstring body h.h_bench;
-    bstring body h.h_policy;
-    bseed body h.h_seed;
-    bu64 body h.h_max_steps
-  | Events b -> Buffer.add_bytes body b
+    bstring out h.h_tenant;
+    bstring out h.h_bench;
+    bstring out h.h_policy;
+    bseed out h.h_seed;
+    bu64 out h.h_max_steps
+  | Events b -> Buffer.add_bytes out b
   | Fin -> ()
-  | Ctrl cmd -> bstring body cmd
+  | Ctrl cmd -> bstring out cmd
   | Welcome { resume_step; session } ->
-    bu64 body resume_step;
-    bstring body session
+    bu64 out resume_step;
+    bstring out session
   | Reject { code; detail } ->
-    Buffer.add_char body (Char.chr (code_of_reject code));
-    bstring body detail
-  | Result json -> btext body json
-  | Data text -> btext body text);
-  let blen = Buffer.length body in
-  if 1 + blen > max_frame then invalid_arg "Proto: frame too large";
-  let out = Buffer.create (5 + blen) in
-  bu32 out (1 + blen);
-  Buffer.add_char out (Char.chr (kind_of msg));
-  Buffer.add_buffer out body;
-  Buffer.to_bytes out
+    Buffer.add_char out (Char.chr (code_of_reject code));
+    bstring out detail
+  | Result json -> btext out json
+  | Data text -> btext out text);
+  let frame = Buffer.to_bytes out in
+  let flen = Bytes.length frame - 4 in
+  if flen > max_frame then invalid_arg "Proto: frame too large";
+  Wire.set_u32 frame 0 flen;
+  frame
 
 (* --- Decoding --------------------------------------------------------- *)
 
@@ -156,29 +152,20 @@ let ru8 cur what =
 
 let ru32 cur what =
   need cur 4 what;
-  let p = cur.c_pos in
-  let b = cur.c_bytes in
-  cur.c_pos <- p + 4;
-  (Char.code (Bytes.get b p) lsl 24)
-  lor (Char.code (Bytes.get b (p + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (p + 2)) lsl 8)
-  lor Char.code (Bytes.get b (p + 3))
+  cur.c_pos <- cur.c_pos + 4;
+  Wire.ru32 cur.c_bytes (cur.c_pos - 4)
 
-(* [bu64] masks the high word to 0x7FFFFFFF and a legitimate OCaml int
-   never has hi >= 0x40000000 (63-bit ints: v asr 32 <= 0x3FFFFFFF), so
-   anything above is a crafted frame — on decode it would drop bit 31
-   and land bit 30 in the sign bit, yielding wrapped or negative values.
-   Reject it instead. *)
+(* Every 64-bit field the protocol carries is a non-negative count, so a
+   crafted high word that would wrap or land in the sign bit is an error. *)
 let ru64 cur what =
   let hi = ru32 cur what in
   let lo = ru32 cur what in
-  if hi >= 0x40000000 then fail "%s value out of range (hi word 0x%08X)" what hi;
-  (hi lsl 32) lor lo
+  match Wire.nonneg63 ~hi ~lo with v -> v | exception Failure msg -> fail "%s %s" what msg
 
 let rseed cur what =
   let hi = ru32 cur what in
   let lo = ru32 cur what in
-  Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+  Wire.seed_of_words ~hi ~lo
 
 let rbounded cur what ~limit =
   let n = ru32 cur what in
@@ -259,16 +246,10 @@ module Dechunker = struct
     Bytes.blit bytes pos t.buf t.len len;
     t.len <- need
 
-  let frame_len t =
-    (Char.code (Bytes.get t.buf 0) lsl 24)
-    lor (Char.code (Bytes.get t.buf 1) lsl 16)
-    lor (Char.code (Bytes.get t.buf 2) lsl 8)
-    lor Char.code (Bytes.get t.buf 3)
-
   let next t =
     if t.len < 4 then None
     else begin
-      let flen = frame_len t in
+      let flen = Wire.ru32 t.buf 0 in
       if flen < 1 || flen > max_frame then fail "frame length %d out of bounds" flen;
       if t.len < 4 + flen then None
       else begin
@@ -296,12 +277,7 @@ let read_msg fd =
   | n ->
     if not (if n < 4 then Io.really_read fd hdr ~pos:n ~len:(4 - n) else true) then
       fail "stream ended inside a frame header";
-    let flen =
-      (Char.code (Bytes.get hdr 0) lsl 24)
-      lor (Char.code (Bytes.get hdr 1) lsl 16)
-      lor (Char.code (Bytes.get hdr 2) lsl 8)
-      lor Char.code (Bytes.get hdr 3)
-    in
+    let flen = Wire.ru32 hdr 0 in
     if flen < 1 || flen > max_frame then fail "frame length %d out of bounds" flen;
     let body = Bytes.create flen in
     if not (Io.really_read fd body ~pos:0 ~len:flen) then fail "stream ended inside a frame";

@@ -42,6 +42,8 @@ let () =
       "telemetry", Test_telemetry.suite;
       "check", Test_check.suite;
       "persist", Test_persist.suite;
+      "golden", Test_golden.suite;
+      "wire", Test_wire.suite;
       "branch-stream", Test_branch_stream.suite;
       "multi-stream", Test_multi_stream.suite;
       "obs", Test_obs.suite;

@@ -13,14 +13,14 @@ let roundtrip_bits () =
 
 let roundtrip_codes () =
   let w = Bitbuf.Writer.create () in
-  List.iter (Bitbuf.Writer.add_bits2 w) [ 0; 1; 2; 3; 3; 0 ];
-  Bitbuf.Writer.add_uint32 w 0xDEADBEEF;
-  Bitbuf.Writer.add_bits2 w 2;
+  List.iter (fun c -> Bitbuf.Writer.add_bits w c 2) [ 0; 1; 2; 3; 3; 0 ];
+  Bitbuf.Writer.add_bits w 0xDEADBEEF 32;
+  Bitbuf.Writer.add_bits w 2 2;
   let r = Bitbuf.Reader.create (Bitbuf.Writer.contents w) ~n_bits:(Bitbuf.Writer.length_bits w) in
   Alcotest.(check (list int)) "codes" [ 0; 1; 2; 3; 3; 0 ]
-    (List.init 6 (fun _ -> Bitbuf.Reader.read_bits2 r));
-  check_int "uint32" 0xDEADBEEF (Bitbuf.Reader.read_uint32 r);
-  check_int "trailing code" 2 (Bitbuf.Reader.read_bits2 r);
+    (List.init 6 (fun _ -> Bitbuf.Reader.read_bits r 2));
+  check_int "uint32" 0xDEADBEEF (Bitbuf.Reader.read_bits r 32);
+  check_int "trailing code" 2 (Bitbuf.Reader.read_bits r 2);
   check_int "nothing remains" 0 (Bitbuf.Reader.remaining_bits r)
 
 let out_of_bits () =
@@ -73,14 +73,154 @@ let qcheck_uint32_roundtrip =
       for _ = 1 to offset do
         Bitbuf.Writer.add_bit w true
       done;
-      Bitbuf.Writer.add_uint32 w v;
+      Bitbuf.Writer.add_bits w v 32;
       let r =
         Bitbuf.Reader.create (Bitbuf.Writer.contents w) ~n_bits:(Bitbuf.Writer.length_bits w)
       in
       for _ = 1 to offset do
         ignore (Bitbuf.Reader.read_bit r)
       done;
-      Bitbuf.Reader.read_uint32 r = v)
+      Bitbuf.Reader.read_bits r 32 = v)
+
+(* --- Field-at-a-time properties ---------------------------------------- *)
+
+(* A writer operation: one bit, or a [k]-bit field holding [v]. *)
+type op = Bit of bool | Field of int * int
+
+let width = function Bit _ -> 1 | Field (k, _) -> k
+
+let gen_field =
+  QCheck.Gen.(
+    let* k = int_range 0 32 in
+    let* v = int_bound ((1 lsl k) - 1) in
+    return (Field (k, v)))
+
+let gen_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 120) (frequency [ (1, map (fun b -> Bit b) bool); (4, gen_field) ]))
+
+let print_ops =
+  QCheck.Print.list (function
+    | Bit b -> Printf.sprintf "bit %b" b
+    | Field (k, v) -> Printf.sprintf "%d:0x%x" k v)
+
+let arb_ops = QCheck.make ~print:print_ops gen_ops
+
+let write w = function
+  | Bit b -> Bitbuf.Writer.add_bit w b
+  | Field (k, v) -> Bitbuf.Writer.add_bits w v k
+
+(* The specification: the format is the sequence of field bits, each
+   field most significant bit first, packed MSB-first into bytes and
+   zero-padded — written here one bit per step. *)
+module Reference = struct
+  type t = { bits : Buffer.t }
+
+  let create () = { bits = Buffer.create 64 }
+
+  let add_bit t b = Buffer.add_char t.bits (if b then '1' else '0')
+
+  let add t = function
+    | Bit b -> add_bit t b
+    | Field (k, v) ->
+      for i = k - 1 downto 0 do
+        add_bit t ((v lsr i) land 1 = 1)
+      done
+
+  let contents t =
+    let n = Buffer.length t.bits in
+    let out = Bytes.make ((n + 7) / 8) '\000' in
+    String.iteri
+      (fun i c ->
+        if c = '1' then
+          Bytes.set out (i / 8)
+            (Char.chr (Char.code (Bytes.get out (i / 8)) lor (0x80 lsr (i mod 8)))))
+      (Buffer.contents t.bits);
+    out
+end
+
+let qcheck_fields_roundtrip =
+  QCheck.Test.make ~name:"mixed-width fields round-trip at any byte offset" ~count:400
+    QCheck.(pair arb_ops (pair (int_range 0 9) (int_range 0 9)))
+    (fun (ops, (prefix, suffix)) ->
+      let w = Bitbuf.Writer.create () in
+      List.iter (write w) ops;
+      (* Embed the payload between garbage bytes: the reader must honour
+         [~pos] and never let bits outside its window into a field. *)
+      let n = Bitbuf.Writer.byte_length w in
+      let buf = Bytes.make (prefix + n + suffix) '\xff' in
+      Bitbuf.Writer.blit w buf ~pos:prefix;
+      let r = Bitbuf.Reader.create ~pos:prefix buf ~n_bits:(Bitbuf.Writer.length_bits w) in
+      List.for_all
+        (function
+          | Bit b -> Bitbuf.Reader.read_bit r = b
+          | Field (k, v) -> Bitbuf.Reader.read_bits r k = v)
+        ops
+      && Bitbuf.Reader.remaining_bits r = 0)
+
+let qcheck_matches_reference =
+  QCheck.Test.make
+    ~name:"contents, length_bits and byte_length match the bitwise reference after every call"
+    ~count:400 arb_ops
+    (fun ops ->
+      let w = Bitbuf.Writer.create () in
+      let reference = Reference.create () in
+      let n_bits = ref 0 in
+      List.for_all
+        (fun op ->
+          write w op;
+          Reference.add reference op;
+          n_bits := !n_bits + width op;
+          let expected = Reference.contents reference in
+          Bitbuf.Writer.length_bits w = !n_bits
+          && Bitbuf.Writer.byte_length w = (!n_bits + 7) / 8
+          && Bytes.equal (Bitbuf.Writer.contents w) expected)
+        ops)
+
+let qcheck_out_of_bits_at_end =
+  QCheck.Test.make ~name:"Out_of_bits exactly at the end, reader unmoved" ~count:300
+    QCheck.(pair arb_ops (int_range 1 32))
+    (fun (ops, k) ->
+      let w = Bitbuf.Writer.create () in
+      List.iter (write w) ops;
+      let n = Bitbuf.Writer.length_bits w in
+      let r = Bitbuf.Reader.create (Bitbuf.Writer.contents w) ~n_bits:n in
+      (* Read everything but the last [min k n] bits, then ask for one
+         bit more than remains. *)
+      let tail = min k n in
+      let rec skip left =
+        if left > 0 then begin
+          ignore (Bitbuf.Reader.read_bits r (min left 32));
+          skip (left - 32)
+        end
+      in
+      skip (n - tail);
+      let raises f = match f () with _ -> false | exception Bitbuf.Reader.Out_of_bits -> true in
+      (tail = 32 || raises (fun () -> Bitbuf.Reader.read_bits r (tail + 1)))
+      && Bitbuf.Reader.remaining_bits r = tail
+      && (ignore (Bitbuf.Reader.read_bits r tail);
+          raises (fun () -> Bitbuf.Reader.read_bit r))
+      && Bitbuf.Reader.remaining_bits r = 0
+      && Bitbuf.Reader.read_bits r 0 = 0)
+
+let qcheck_rejects_out_of_range =
+  QCheck.Test.make ~name:"out-of-range values and widths are rejected, writer unmoved" ~count:300
+    QCheck.(pair arb_ops (int_range 0 32))
+    (fun (ops, k) ->
+      let w = Bitbuf.Writer.create () in
+      List.iter (write w) ops;
+      let before = Bitbuf.Writer.contents w in
+      let rejects v k =
+        match Bitbuf.Writer.add_bits w v k with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      rejects (1 lsl k) k
+      && rejects (-1) k
+      && rejects 0 33
+      && rejects 0 (-1)
+      && Bytes.equal before (Bitbuf.Writer.contents w)
+      && Bitbuf.Writer.length_bits w = List.fold_left (fun n op -> n + width op) 0 ops)
 
 let suite =
   [
@@ -91,4 +231,8 @@ let suite =
     case "padding is zero" padding_is_zero;
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_uint32_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_fields_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_out_of_bits_at_end;
+    QCheck_alcotest.to_alcotest qcheck_rejects_out_of_range;
   ]

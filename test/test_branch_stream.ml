@@ -16,6 +16,11 @@ module Policies = Regionsel_core.Policies
 module Event_log = Regionsel_persist.Event_log
 module Persist = Regionsel_persist.Persist
 module Addr = Regionsel_isa.Addr
+module Program = Regionsel_isa.Program
+module Block = Regionsel_isa.Block
+module Terminator = Regionsel_isa.Terminator
+module Bitbuf = Regionsel_core.Bitbuf
+module Wire = Regionsel_persist.Wire
 open Fixtures
 
 let budget (spec : Spec.t) = min spec.Spec.default_steps 30_000
@@ -25,10 +30,11 @@ let tasks =
     (fun (spec : Spec.t) -> List.map (fun (p, _) -> spec, p) Policies.all)
     Suite.all
 
-(* Live run recording its stream, then a replayed run over the recording:
-   the two metric JSONs (fixed field order, lossless floats) must be
-   byte-identical.  [to_json] equality is the strongest cheap comparison
-   we have — it covers every exported metric. *)
+(* Live run recording its stream, then a replayed run over the recording
+   after a round trip through the REVL codec: the two metric JSONs (fixed
+   field order, lossless floats) must be byte-identical.  [to_json]
+   equality is the strongest cheap comparison we have — it covers every
+   exported metric. *)
 let live_vs_replay ?params () =
   List.iter
     (fun ((spec : Spec.t), pname) ->
@@ -39,7 +45,11 @@ let live_vs_replay ?params () =
       let live =
         Simulator.run ?params ~seed:1L ~record:events ~policy ~max_steps image
       in
-      let replayed = Simulator.run ?params ~seed:1L ~replay:events ~policy ~max_steps image in
+      let program = image.Image.program in
+      let decoded =
+        Event_log.decode (Event_log.encode ~program ~seed:1L events) ~program ~seed:1L
+      in
+      let replayed = Simulator.run ?params ~seed:1L ~replay:decoded ~policy ~max_steps image in
       let lj = Run_metrics.to_json (Run_metrics.of_result live) in
       let rj = Run_metrics.to_json (Run_metrics.of_result replayed) in
       if lj <> rj then
@@ -88,6 +98,23 @@ let recorder_basics () =
        Branch_stream.append_event ev ~block_id:(-1) ~taken:false ~next:0;
        false
      with Invalid_argument _ -> true)
+
+let recorder_capacity_and_truncate () =
+  let ev = Branch_stream.recorder ~capacity:0 () in
+  for i = 0 to 99 do
+    Branch_stream.append_event ev ~block_id:i ~taken:(i mod 2 = 0) ~next:(i + 1)
+  done;
+  check_int "a zero-capacity recorder grows" 100 (Branch_stream.length ev);
+  Branch_stream.truncate ev 40;
+  check_int "truncated" 40 (Branch_stream.length ev);
+  Branch_stream.append_event ev ~block_id:7 ~taken:true ~next:Addr.none;
+  check_int "append lands after the cut" 7 (Branch_stream.get_block_id ev 40);
+  check_int "earlier events kept" 39 (Branch_stream.get_block_id ev 39);
+  let rejects n = try Branch_stream.truncate ev n; false with Invalid_argument _ -> true in
+  check_true "cannot truncate past the end" (rejects 42);
+  check_true "cannot truncate to a negative length" (rejects (-1));
+  check_true "negative capacity rejected"
+    (try ignore (Branch_stream.recorder ~capacity:(-1) ()); false with Invalid_argument _ -> true)
 
 (* [of_events] delivers exactly the recorded events then reports a halt,
    and [of_interp] over a fresh interpreter reproduces the recording. *)
@@ -139,7 +166,12 @@ let codec_round_trip () =
       let spec = Option.get (Suite.find bench) in
       let program = (Spec.image spec).Image.program in
       let events = record_of spec "net" in
-      let bytes = Event_log.encode ~program ~seed:1L events in
+      let t0 = Unix.gettimeofday () in
+  let bytes = Event_log.encode ~program ~seed:1L events in
+  Printf.printf "encode %.3f\n%!" (Unix.gettimeofday () -. t0);
+  let t0 = Unix.gettimeofday () in
+  ignore (Event_log.decode bytes ~program ~seed:1L);
+  Printf.printf "decode %.3f\n%!" (Unix.gettimeofday () -. t0);
       let decoded = Event_log.decode bytes ~program ~seed:1L in
       check_true
         (Printf.sprintf "round trip (%s, %d events, %d bytes)" bench
@@ -163,6 +195,44 @@ let codec_file_round_trip () =
          n);
       let decoded = Event_log.read_file ~path ~program ~seed:1L in
       check_true "file round trip" (Branch_stream.equal events decoded))
+
+(* Minimal field width for every value in [0, max], as the codec computes it. *)
+let bits_for max =
+  let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
+  if max = 0 then 1 else go 0 max
+
+(* Past 2^16 blocks an event no longer fits one 32-bit field and is
+   written as its three parts; the round trip must not care.  The codec
+   only needs block ids and block-start successors, so a synthetic
+   recording over a long straight-line program will do. *)
+let codec_round_trip_wide_events () =
+  let n = 70_000 in
+  let program =
+    Program.of_blocks_exn ~entry:0
+      (List.init n (fun i ->
+           Block.make ~start:i ~size:1
+             ~term:(if i = n - 1 then Terminator.Halt else Terminator.Fallthrough)))
+  in
+  check_true "event fields wider than 32 bits" (bits_for (n - 1) + 1 + bits_for n > 32);
+  let events = Branch_stream.recorder () in
+  for i = 0 to 4_999 do
+    Branch_stream.append_event events ~block_id:(i * 7919 mod n) ~taken:(i mod 3 = 0)
+      ~next:
+        (if i mod 11 = 0 then Addr.none
+         else (Program.block_of_id program (i * 104_729 mod n)).Block.start)
+  done;
+  let bytes = Event_log.encode ~program ~seed:1L events in
+  check_true "file round trip"
+    (Branch_stream.equal events (Event_log.decode bytes ~program ~seed:1L));
+  let into = Branch_stream.recorder () in
+  check_int "batch round trip" 1001
+    (Event_log.decode_batch
+       (Event_log.encode_batch ~program events ~pos:3 ~len:1001)
+       ~program ~into);
+  for i = 0 to 1000 do
+    assert (Branch_stream.get_block_id into i = Branch_stream.get_block_id events (i + 3));
+    assert (Branch_stream.get_next into i = Branch_stream.get_next events (i + 3))
+  done
 
 let expect_corruption what f =
   match f () with
@@ -198,6 +268,94 @@ let codec_rejects_corruption () =
   expect_corruption "program mismatch" (fun () ->
       Event_log.decode pristine ~program:other ~seed:1L)
 
+(* Rewrite the event count's high word (bytes 24..27) and re-seal the
+   header CRC, so only the count's own range check stands in the way. *)
+let with_count_hi bytes hi =
+  let b = Bytes.copy bytes in
+  Wire.set_u32 b 24 hi;
+  Wire.set_u32 b 28 (Wire.crc32 b ~pos:0 ~len:28);
+  b
+
+let codec_rejects_count_high_word () =
+  let check_program bench pname =
+    let spec = Option.get (Suite.find bench) in
+    let program = (Spec.image spec).Image.program in
+    let pristine = Event_log.encode ~program ~seed:1L (record_of spec pname) in
+    let width = bits_for (Program.n_blocks program - 1) + 1 + bits_for (Program.n_blocks program) in
+    (* The smallest high word whose count wraps back onto the true bit
+       total under a multiplicative size check: hi * 2^32 * width must be
+       a multiple of 2^63. *)
+    let rec twos w = if w land 1 = 0 then 1 + twos (w lsr 1) else 0 in
+    let aliasing = 1 lsl (31 - twos width) in
+    List.iter
+      (fun hi ->
+        expect_corruption (Printf.sprintf "%s: count high word 0x%08X" bench hi) (fun () ->
+            Event_log.decode (with_count_hi pristine hi) ~program ~seed:1L))
+      [ 0x80000000; 0x40000000; aliasing; 1 ]
+  in
+  check_program "gzip" "net";
+  check_program "twolf" "lei";
+  check_program "mcf" "lei"
+
+(* A batch in the wire layout, packed by hand so it can carry a block id
+   no encoder would write, with a valid CRC. *)
+let forged_batch ~program events ~pos ~len ~bad_at =
+  let n_blocks = Program.n_blocks program in
+  let kb = bits_for (n_blocks - 1) and kn = bits_for n_blocks in
+  let w = Bitbuf.Writer.create () in
+  for i = pos to pos + len - 1 do
+    let next = Branch_stream.get_next events i in
+    Bitbuf.Writer.add_bits w
+      (if i = bad_at then n_blocks else Branch_stream.get_block_id events i)
+      kb;
+    Bitbuf.Writer.add_bit w (Branch_stream.get_taken events i);
+    Bitbuf.Writer.add_bits w (if next = Addr.none then 0 else Program.block_id program next + 1) kn
+  done;
+  let plen = Bitbuf.Writer.byte_length w in
+  let b = Bytes.create (8 + plen + 4) in
+  Wire.set_u32 b 0 len;
+  Wire.set_u32 b 4 (Bitbuf.Writer.length_bits w);
+  Bitbuf.Writer.blit w b ~pos:8;
+  Wire.set_u32 b (8 + plen) (Wire.crc32 b ~pos:8 ~len:plen);
+  b
+
+let decode_batch_failure_leaves_into_unchanged () =
+  let spec = Option.get (Suite.find "gzip") in
+  let program = (Spec.image spec).Image.program in
+  let n_blocks = Program.n_blocks program in
+  check_true "gzip's block count leaves room for an invalid id"
+    (n_blocks < 1 lsl bits_for (n_blocks - 1));
+  let events = record_of spec "net" in
+  let into = Branch_stream.recorder () in
+  let expected = Branch_stream.recorder () in
+  let append_range lo hi =
+    for i = lo to hi - 1 do
+      Branch_stream.append_event expected ~block_id:(Branch_stream.get_block_id events i)
+        ~taken:(Branch_stream.get_taken events i) ~next:(Branch_stream.get_next events i)
+    done
+  in
+  check_int "good batch appended" 700
+    (Event_log.decode_batch
+       (Event_log.encode_batch ~program events ~pos:0 ~len:700)
+       ~program ~into);
+  append_range 0 700;
+  (* 1500 good events (enough to grow [into] past its first array) and a
+     bad one at the end: the whole batch must be rolled back. *)
+  let bad = forged_batch ~program events ~pos:700 ~len:1501 ~bad_at:2200 in
+  (match Event_log.decode_batch bad ~program ~into with
+  | (_ : int) -> Alcotest.fail "a batch with an out-of-program block id was accepted"
+  | exception Persist.Hard_corruption _ -> ());
+  check_int "length unchanged after the rejected batch" 700 (Branch_stream.length into);
+  check_true "contents unchanged after the rejected batch" (Branch_stream.equal into expected);
+  (* The same events with the id fixed decode fine: the forgery differs
+     from a good batch only in that one id. *)
+  let fixed = forged_batch ~program events ~pos:700 ~len:1501 ~bad_at:(-1) in
+  check_true "the forged layout is the encoder's"
+    (Bytes.equal fixed (Event_log.encode_batch ~program events ~pos:700 ~len:1501));
+  check_int "next good batch appended" 1501 (Event_log.decode_batch fixed ~program ~into);
+  append_range 700 2201;
+  check_true "good batch after a rejected one appends exactly" (Branch_stream.equal into expected)
+
 (* A corrupt recording must never reach the engine: the CLI contract is
    exit-code 5, here the exception at decode time. *)
 let replay_after_round_trip_is_identical () =
@@ -217,11 +375,16 @@ let replay_after_round_trip_is_identical () =
 let suite =
   [
     case "recorder basics" recorder_basics;
+    case "recorder capacity and truncate" recorder_capacity_and_truncate;
     case "producers agree (live vs recorded)" stream_producers_agree;
     case "matrix: live == replay, byte-identical" matrix_clean;
     case "matrix: live == replay under mixed faults" matrix_mixed_faults;
     case "event-log round trip" codec_round_trip;
     case "event-log file round trip" codec_file_round_trip;
+    case "event-log round trip with fields wider than 32 bits" codec_round_trip_wide_events;
     case "event-log rejects corruption and identity mismatch" codec_rejects_corruption;
+    case "event-log rejects an out-of-range event count" codec_rejects_count_high_word;
+    case "decode_batch failure leaves the target unchanged"
+      decode_batch_failure_leaves_into_unchanged;
     case "replay through the codec is bit-identical" replay_after_round_trip_is_identical;
   ]
