@@ -1,8 +1,8 @@
-(* Differential fuzz driver: random workloads x policies x fault schedules
-   x dispatch modes, every run under the invariant sanitizer with a
-   shadow-interpreter oracle and a compiled-vs-legacy metric cross-check.
-   The first failure is greedily shrunk to a minimal case and reported as
-   a replayable command line. *)
+(* Differential fuzz driver: random workloads x policies x fault schedules,
+   every run under the invariant sanitizer, which holds each step to the
+   reference interpreter and the reference region rule.  The first failure
+   is greedily shrunk to a minimal case and reported as a replayable
+   command line. *)
 
 module Check = Regionsel_check.Check
 module Fuzz = Regionsel_check.Fuzz
@@ -10,8 +10,7 @@ module Fuzz = Regionsel_check.Fuzz
 let usage =
   "regionsel_fuzz [--seeds A-B | --seed N] [--steps N] [--shrink] [--out FILE] \
    [--snapshots [--corruptions N]] [--streams] [--frames [--cases N]]\n\
-   regionsel_fuzz --seed N --genome G1,G2,... [--policy P] [--fault F] [--legacy] \
-   [--legacy-dispatch] [--steps N]\n\
+   regionsel_fuzz --seed N --genome G1,G2,... [--policy P] [--fault F] [--steps N]\n\
    regionsel_fuzz --self-test-break [--flight FILE]"
 
 let parse_seeds s =
@@ -24,22 +23,22 @@ let parse_seeds s =
 let parse_genome s =
   String.split_on_char ',' s |> List.filter (fun g -> g <> "") |> List.map int_of_string
 
-let report_failure ~shrink ~out ~flight (c, f) =
-  Printf.printf "FAIL %s\n  %s\n%!" (Fuzz.cli_line c) (Fuzz.failure_to_string f);
-  let c, f = if shrink then Fuzz.shrink c f else (c, f) in
+let report_failure ~shrink ~out ~flight (c, v) =
+  Printf.printf "FAIL %s\n  %s\n%!" (Fuzz.cli_line c) (Check.violation_to_string v);
+  let c, v = if shrink then Fuzz.shrink c v else (c, v) in
   if shrink then
-    Printf.printf "shrunk to: %s\n  %s\n%!" (Fuzz.cli_line c) (Fuzz.failure_to_string f);
+    Printf.printf "shrunk to: %s\n  %s\n%!" (Fuzz.cli_line c) (Check.violation_to_string v);
   (match out with
   | "" -> ()
   | path ->
     let oc = open_out path in
-    Printf.fprintf oc "%s\n# %s\n" (Fuzz.cli_line c) (Fuzz.failure_to_string f);
+    Printf.fprintf oc "%s\n# %s\n" (Fuzz.cli_line c) (Check.violation_to_string v);
     close_out oc;
     Printf.printf "reproducer written to %s\n%!" path);
   match flight with
   | "" -> ()
   | path ->
-    let n = Fuzz.flight_dump c f ~path in
+    let n = Fuzz.flight_dump c v ~path in
     Printf.printf "flight recorder: %d windows -> %s\n%!" n path
 
 (* Daemon-framing axis: batter the wire protocol — truncated frames,
@@ -176,8 +175,6 @@ let () =
   let genome = ref "" in
   let policy = ref "net" in
   let fault = ref "" in
-  let legacy = ref false in
-  let legacy_dispatch = ref false in
   let snapshots = ref false in
   let corruptions = ref 50 in
   let streams = ref false in
@@ -198,13 +195,6 @@ let () =
       ( "--fault",
         Arg.Set_string fault,
         "NAME  fault profile for --genome replay (default none)" );
-      ( "--legacy",
-        Arg.Set legacy,
-        " use legacy (non-compiled) region stepping for --genome replay" );
-      ( "--legacy-dispatch",
-        Arg.Set legacy_dispatch,
-        " use the legacy terminator-match interpreter (not the threaded closure table) \
-         for --genome replay" );
       ( "--snapshots",
         Arg.Set snapshots,
         " fuzz the checkpoint restore path instead: corrupt a mid-run snapshot and \
@@ -320,8 +310,6 @@ let () =
         genome = parse_genome !genome;
         policy = !policy;
         fault = (if !fault = "" then None else Some !fault);
-        compiled = not !legacy;
-        threaded = not !legacy_dispatch;
         max_steps = !steps;
       }
     in
@@ -329,8 +317,8 @@ let () =
     | None ->
       Printf.printf "ok: %s\n%!" (Fuzz.cli_line c);
       exit 0
-    | Some f ->
-      report_failure ~shrink:!shrink ~out:!out ~flight:!flight (c, f);
+    | Some v ->
+      report_failure ~shrink:!shrink ~out:!out ~flight:!flight (c, v);
       exit 1
   end;
   let failed = ref false in
@@ -341,10 +329,10 @@ let () =
     | None, n ->
       total := !total + n;
       Printf.printf "seed %d: %d cases ok\n%!" !seed n
-    | Some (c, f), n ->
+    | Some (c, v), n ->
       total := !total + n;
       failed := true;
-      report_failure ~shrink:!shrink ~out:!out ~flight:!flight (c, f));
+      report_failure ~shrink:!shrink ~out:!out ~flight:!flight (c, v));
     incr seed
   done;
   if !failed then exit 1

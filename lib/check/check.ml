@@ -3,7 +3,7 @@ module Image = Regionsel_workload.Image
 module Telemetry = Regionsel_telemetry.Telemetry
 module Code_cache = Regionsel_engine.Code_cache
 module Context = Regionsel_engine.Context
-module Interp = Regionsel_engine.Interp
+module Faults = Regionsel_engine.Faults
 module Params = Regionsel_engine.Params
 module Region = Regionsel_engine.Region
 module Simulator = Regionsel_engine.Simulator
@@ -145,15 +145,36 @@ let audit_cache ?telemetry ~program cache ~step =
         "telemetry has %d open spans but the cache holds %d live regions" open_spans
         !n_live
 
+(* The previous step, as the region rule needs it at the next one. *)
+type last_step = {
+  l_step : int;
+  l_region : Region.t;
+  l_block : Block.t;
+  l_taken : bool;
+  l_next : Addr.t;
+  l_flushes : int;  (* [Code_cache.flushes] before the step's own work *)
+}
+
+let describe_region (r : Region.t) =
+  if r == Region.dummy then "the interpreter"
+  else Printf.sprintf "region #%d (entry %s)" r.Region.id (Addr.to_string r.Region.entry)
+
 let checked_run ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every = 64)
     ?break_at ?on_window ?checkpoint ?restore ?record ?replay ~policy ~max_steps image =
-  let params = { params with Params.validate = true } in
   let t = match telemetry with Some t -> t | None -> Telemetry.create () in
   let program = image.Image.program in
-  (* The shadow runs the *other* dispatch mode: every checked run is then
-     also a live threaded-vs-legacy differential, step by step. *)
-  let shadow = Interp.create ~threaded:(not params.Params.threaded_dispatch) image ~seed in
-  let sh = Interp.make_step () in
+  let shadow = Reference.create image ~seed in
+  (* The fault schedule is a pure function of the run's inputs, so the
+     steps it fires at are known up front. *)
+  let fault_steps = Hashtbl.create 16 in
+  Option.iter
+    (fun profile ->
+      let f = Faults.create ~profile ~seed ~program ~max_steps in
+      while Faults.next_step f <> max_int do
+        Hashtbl.replace fault_steps (Faults.next_step f) ();
+        ignore (Faults.pop f : Faults.event)
+      done)
+    params.Params.faults;
   let cache_ref = ref None in
   let audit ~step =
     match !cache_ref with
@@ -161,6 +182,28 @@ let checked_run ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every
     | Some cache -> audit_cache ~telemetry:t ~program cache ~step
   in
   let broken = ref false in
+  let last = ref None in
+  let check_region_rule ~step ~region cache =
+    match !last with
+    | None -> ()
+    | Some l ->
+      let expected =
+        Reference.next_region ~cache ~program ~region:l.l_region ~block:l.l_block
+          ~taken:l.l_taken ~next:l.l_next
+      in
+      (* A fault, a bailout or a flush during the previous step may retire
+         the region the rule expects, or kick the run out of it. *)
+      let relaxed =
+        Hashtbl.mem fault_steps l.l_step || Code_cache.flushes cache <> l.l_flushes
+      in
+      if region != expected && not (relaxed && region == Region.dummy) then
+        fail ~step ~rule:"region-rule"
+          "block %s in %s went to %s: the run continued in %s but the reference rule \
+           gives %s"
+          (Addr.to_string l.l_block.Block.start)
+          (describe_region l.l_region) (Addr.to_string l.l_next) (describe_region region)
+          (describe_region expected)
+  in
   let observer =
     {
       Simulator.on_context =
@@ -169,7 +212,7 @@ let checked_run ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every
           cache_ref := Some cache;
           Code_cache.set_auditor cache (fun _op -> audit ~step:(Code_cache.now cache)));
       on_step =
-        (fun ~step ~block ~taken ~next ~believed ->
+        (fun ~step ~block ~taken ~next ~region ~believed ->
           (* Self-test corruption: desynchronize the indices once a live
              region exists, then let the audit below convict it. *)
           (match break_at with
@@ -179,28 +222,32 @@ let checked_run ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every
               if Code_cache.unsafe_corrupt_for_tests cache then broken := true
             | None -> ())
           | Some _ | None -> ());
-          (* Differential oracle: the shadow interpreter is the ground
+          (* Differential oracle: the reference interpreter is the ground
              truth for what the program executes. *)
-          if not (Interp.step_into shadow sh) then
-            fail ~step ~rule:"oracle-halt"
-              "the run executed %s but the shadow interpreter has halted"
-              (Addr.to_string block.Block.start);
-          if not (Block.equal (Interp.block shadow sh) block) then
+          let sh =
+            match Reference.step shadow with
+            | Some sh -> sh
+            | None ->
+              fail ~step ~rule:"oracle-halt"
+                "the run executed %s but the reference interpreter has halted"
+                (Addr.to_string block.Block.start)
+          in
+          if not (Block.equal sh.Reference.block block) then
             fail ~step ~rule:"oracle-block"
-              "the run executed block %s but the shadow interpreter executed %s"
+              "the run executed block %s but the reference interpreter executed %s"
               (Addr.to_string block.Block.start)
-              (Addr.to_string (Interp.block shadow sh).Block.start);
-          if sh.Interp.taken <> taken then
+              (Addr.to_string sh.Reference.block.Block.start);
+          if sh.Reference.taken <> taken then
             fail ~step ~rule:"oracle-branch"
-              "block %s: the run saw taken=%b but the shadow interpreter saw %b"
+              "block %s: the run saw taken=%b but the reference interpreter saw %b"
               (Addr.to_string block.Block.start)
-              taken sh.Interp.taken;
-          if not (Addr.equal sh.Interp.next next) then
+              taken sh.Reference.taken;
+          if not (Addr.equal sh.Reference.next next) then
             fail ~step ~rule:"oracle-target"
-              "block %s: the run continues at %s but the shadow interpreter at %s"
+              "block %s: the run continues at %s but the reference interpreter at %s"
               (Addr.to_string block.Block.start)
               (Addr.to_string next)
-              (Addr.to_string sh.Interp.next);
+              (Addr.to_string sh.Reference.next);
           (* Region mode must believe it executed the block the
              interpreter actually executed. *)
           if (not (Addr.is_none believed)) && not (Addr.equal believed block.Block.start)
@@ -209,15 +256,28 @@ let checked_run ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every
               "region mode believes it executed %s but the interpreter executed %s"
               (Addr.to_string believed)
               (Addr.to_string block.Block.start);
+          (match !cache_ref with
+          | None -> ()
+          | Some cache ->
+            check_region_rule ~step ~region cache;
+            last :=
+              Some
+                {
+                  l_step = step;
+                  l_region = region;
+                  l_block = block;
+                  l_taken = taken;
+                  l_next = next;
+                  l_flushes = Code_cache.flushes cache;
+                });
           if audit_every > 0 && step mod audit_every = 0 then audit ~step);
     }
   in
   (* Restoring a snapshot fast-forwards the run to its saved position; the
-     shadow oracle must follow, or every subsequent step would "diverge".
-     The run's own interp section — already restored by the caller's hook —
-     is replayed into the shadow, which puts its pc, stack and every PRNG
-     stream at exactly the restored position (warm interpreter state is
-     dispatch-mode-independent). *)
+     reference interpreter must follow, or every subsequent step would
+     "diverge".  The run's own interp section — already restored by the
+     caller's hook — is replayed into the reference, which puts its pc,
+     stack and every PRNG stream at exactly the restored position. *)
   let restore =
     Option.map
       (fun f (internals : Simulator.internals) ->
@@ -229,14 +289,9 @@ let checked_run ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every
         with
         | None -> ()
         | Some s ->
-          let ints = ref [] in
-          s.Simulator.sec_save (fun v -> ints := v :: !ints);
-          let arr = Array.of_list (List.rev !ints) in
-          let i = ref 0 in
-          Interp.load_warm shadow (fun () ->
-              let v = arr.(!i) in
-              incr i;
-              v))
+          let ints = Queue.create () in
+          s.Simulator.sec_save (fun v -> Queue.add v ints);
+          Reference.load_warm shadow (fun () -> Queue.pop ints))
       restore
   in
   let result =

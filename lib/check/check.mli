@@ -12,14 +12,16 @@
       These are the DESIGN.md "Checked invariants" (see that section for
       the rule-by-rule rationale).
 
-    - {!checked_run} wraps [Simulator.run] with a differential oracle: a
-      second, pure interpreter shadow-steps the run and every executed
-      (block, branch outcome, target) triple must match — region dispatch,
-      compiled automata, fragment links and fault recovery may change
-      {e where} metrics are attributed, never {e what} the program
-      executes.  It also installs {!audit_cache} behind the cache's
-      auditor hook so every mutating cache operation is audited at the
-      step it happens.
+    - {!checked_run} wraps [Simulator.run] with two differential oracles
+      from {!Reference}: the reference interpreter shadow-steps the run
+      and every executed (block, branch outcome, target) triple must
+      match — region dispatch, compiled automata, fragment links and fault
+      recovery may change {e where} metrics are attributed, never {e what}
+      the program executes — and the reference region rule decides, from
+      the spec's edge list and the dispatch array, which region every
+      step must run in.  It also installs {!audit_cache} behind the
+      cache's auditor hook so every mutating cache operation is audited
+      at the step it happens.
 
     Violations raise {!Check_violation} with the failing rule's name, the
     step, and a human-readable explanation — the fuzz driver
@@ -83,13 +85,27 @@ val checked_run :
   max_steps:int ->
   Regionsel_workload.Image.t ->
   Regionsel_engine.Simulator.result
-(** [Simulator.run] under the sanitizer ([params.validate] is forced on).
-    A shadow interpreter with the same image and seed is stepped in
+(** [Simulator.run] under the sanitizer.  The reference interpreter
+    ({!Reference.step}) with the same image and seed is stepped in
     lockstep; any divergence in executed block, branch outcome or target
     raises (rules ["oracle-halt"], ["oracle-block"], ["oracle-branch"],
     ["oracle-target"]).  Region mode's believed position is checked
     against the interpreter's ground truth every step
-    (["region-position"]).  {!audit_cache} runs after every mutating cache
+    (["region-position"]).
+
+    Every step's region is checked against {!Reference.next_region}
+    applied to the previous step (["region-rule"]): stay in the region on
+    an internal edge, else go where the dispatch array says.  The check
+    is strict on every step except, on fault runs, the step right after
+    one where a scheduled fault fired (any kind; the schedule is
+    recomputed from [params.faults], [seed] and [max_steps]) or
+    [Code_cache.flushes] moved (a watchdog bailout, a crash, a cache
+    shock or a capacity flush).  There the run may also be interpreting,
+    since those events can retire its region or kick it out.  The first
+    step of a run, and of a restored run, has no previous step and is
+    not checked.
+
+    {!audit_cache} runs after every mutating cache
     operation, every [audit_every] steps (default 64; [0] disables the
     periodic sweep), and once after the run; the final sweep also checks
     that every telemetry span closed with [retired_at >= installed_at]
@@ -106,12 +122,12 @@ val checked_run :
     then raise.  Never set it outside tests.
 
     [checkpoint] and [restore] pass through to [Simulator.run]; on restore
-    the shadow oracle is fast-forwarded to the restored interpreter
-    position, so a checked run can resume a snapshot without spurious
+    the reference interpreter loads the run's restored [interp] section
+    ({!Reference.load_warm}), so a checked run can resume a snapshot without spurious
     divergence reports.
 
     [record] and [replay] pass through to [Simulator.run].  A checked
     {e replay} is a strong oracle: the recorded events are cross-checked
-    step by step against the shadow interpreter, so a recording that does
+    step by step against the reference interpreter, so a recording that does
     not reproduce the live program's exact branch stream raises rather
     than silently skewing metrics. *)

@@ -18,16 +18,8 @@ type case = {
   genome : int list;
   policy : string;
   fault : string option;
-  compiled : bool;
-  threaded : bool;  (* interpreter dispatch mode: threaded closures vs legacy match *)
   max_steps : int;
 }
-
-type failure = Violation of Check.violation | Mode_divergence of string
-
-let failure_to_string = function
-  | Violation v -> Check.violation_to_string v
-  | Mode_divergence detail -> "compiled/legacy divergence: " ^ detail
 
 (* Same derivation as the qcheck fuzz suite: each gene adds one function
    of a shape picked by the gene value, always valid by construction. *)
@@ -70,43 +62,25 @@ let fault_exn name =
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Fuzz: unknown fault profile %S" name)
 
-let params_of c =
-  {
-    Params.default with
-    Params.faults = Option.map fault_exn c.fault;
-    compiled_regions = c.compiled;
-    threaded_dispatch = c.threaded;
-    validate = true;
-  }
+let params_of c = { Params.default with Params.faults = Option.map fault_exn c.fault }
 
 let cli_line c =
-  Printf.sprintf "regionsel_fuzz --seed %d --genome %s --policy %s%s%s%s --steps %d" c.seed
+  Printf.sprintf "regionsel_fuzz --seed %d --genome %s --policy %s%s --steps %d" c.seed
     (String.concat "," (List.map string_of_int c.genome))
     c.policy
     (match c.fault with None -> "" | Some f -> " --fault " ^ f)
-    (if c.compiled then "" else " --legacy")
-    (if c.threaded then "" else " --legacy-dispatch")
     c.max_steps
 
-(* One checked run; [Some result] on a clean pass, the violation
-   otherwise. *)
-let checked ?break_at ~audit_every c ~compiled =
-  let image = image_of_genome c.genome in
-  let params = { (params_of c) with Params.compiled_regions = compiled } in
-  match
-    Check.checked_run ?break_at ~audit_every ~params ~seed:(Int64.of_int c.seed)
-      ~policy:(policy_exn c.policy) ~max_steps:c.max_steps image
-  with
-  | result -> Ok result
-  | exception Check.Check_violation v -> Error v
-
 let run_case ?break_at ?(audit_every = 1) c =
-  match checked ?break_at ~audit_every c ~compiled:c.compiled with
-  | Ok _ -> None
-  | Error v -> Some (Violation v)
+  match
+    Check.checked_run ?break_at ~audit_every ~params:(params_of c)
+      ~seed:(Int64.of_int c.seed) ~policy:(policy_exn c.policy) ~max_steps:c.max_steps
+      (image_of_genome c.genome)
+  with
+  | (_ : Simulator.result) -> None
+  | exception Check.Check_violation v -> Some v
 
-(* The metrics both dispatch modes must agree on (what the parity suite
-   pins globally, re-checked here per fuzz case). *)
+(* The metrics a restored or multiplexed run must reproduce exactly. *)
 let signature (r : Simulator.result) =
   let s = r.Simulator.stats in
   ( Stats.total_insts s,
@@ -120,26 +94,6 @@ let signature (r : Simulator.result) =
       (fun (rg : Region.t) -> rg.Region.entry)
       (Code_cache.all_regions r.Simulator.ctx.Context.cache) )
 
-let run_case_cross ?(audit_every = 1) c =
-  match checked ~audit_every c ~compiled:true with
-  | Error v -> Some (Violation v)
-  | Ok compiled_result -> (
-    match checked ~audit_every c ~compiled:false with
-    | Error v -> Some (Violation v)
-    | Ok legacy_result ->
-      let sc = signature compiled_result and sl = signature legacy_result in
-      if sc = sl then None
-      else
-        let t7 (a, b, c', d, e, f, g, _) = (a, b, c', d, e, f, g) in
-        let a, b, c', d, e, f, g = t7 sc and a', b', cc, d', e', f', g' = t7 sl in
-        Some
-          (Mode_divergence
-             (Printf.sprintf
-                "compiled (insts %d, interp %d, cached %d, dispatches %d, transitions \
-                 %d, exits %d, installs %d) vs legacy (insts %d, interp %d, cached %d, \
-                 dispatches %d, transitions %d, exits %d, installs %d)"
-                a b c' d e f g a' b' cc d' e' f' g')))
-
 let genome_of_seed seed =
   let g = Splitmix.create ~seed:(Int64.of_int (seed + 0x9e3779)) in
   let n = 1 + Splitmix.int g 6 in
@@ -152,24 +106,17 @@ let run_seed ?(max_steps = 4000) seed =
   let cases =
     List.concat_map
       (fun (policy, _) ->
-        List.concat_map
-          (fun fault ->
-            (* Both interpreter dispatch modes drive the sweep; the checked
-               run's shadow always takes the opposite mode, so each case is
-               a threaded-vs-legacy step differential in both directions. *)
-            List.map
-              (fun threaded ->
-                { seed; genome; policy; fault; compiled = true; threaded; max_steps })
-              [ true; false ])
+        List.map
+          (fun fault -> { seed; genome; policy; fault; max_steps })
           fault_profiles_under_test)
       Policies.all
   in
   let rec sweep n = function
     | [] -> (None, n)
     | c :: rest -> (
-      match run_case_cross c with
+      match run_case c with
       | None -> sweep (n + 1) rest
-      | Some f -> (Some (c, f), n + 1))
+      | Some v -> (Some (c, v), n + 1))
   in
   sweep 0 cases
 
@@ -286,8 +233,6 @@ let run_snapshot_seed ?(corruptions = 50) ?(max_steps = 3000) seed =
       genome = genome_of_seed seed;
       policy = policies.(seed mod Array.length policies);
       fault = faults.(seed mod Array.length faults);
-      compiled = true;
-      threaded = seed mod 2 = 0;
       max_steps;
     }
   in
@@ -325,28 +270,26 @@ let run_snapshot_seed ?(corruptions = 50) ?(max_steps = 3000) seed =
       snap_rejected = !rejected;
     } )
 
-let shrink c0 f0 =
-  let best = ref (c0, f0) in
+let shrink c0 v0 =
+  let best = ref (c0, v0) in
   let try_improve cand =
-    match run_case_cross cand with
-    | Some f ->
-      best := (cand, f);
+    match run_case cand with
+    | Some v ->
+      best := (cand, v);
       true
     | None -> false
   in
   let drop i l = List.filteri (fun j _ -> j <> i) l in
   let halve i l = List.mapi (fun j g -> if j = i then g / 2 else g) l in
   let rec loop () =
-    let c, f = !best in
+    let c, v = !best in
     let candidates =
       (* Clamp the budget to the failing step: a violation raised during
          step [k] reproduces with any budget >= k. *)
-      (match f with
-      | Violation v when v.Check.step < c.max_steps && v.Check.step >= 1 ->
-        [ { c with max_steps = v.Check.step } ]
-      | Violation _ | Mode_divergence _ -> [])
+      (if v.Check.step < c.max_steps && v.Check.step >= 1 then
+         [ { c with max_steps = v.Check.step } ]
+       else [])
       @ (match c.fault with Some _ -> [ { c with fault = None } ] | None -> [])
-      @ (if c.threaded then [] else [ { c with threaded = true } ])
       @ (if List.length c.genome > 1 then
            List.mapi (fun i _ -> { c with genome = drop i c.genome }) c.genome
          else [])
@@ -363,13 +306,13 @@ let shrink c0 f0 =
 
 (* --- Multi-stream axis -----------------------------------------------
 
-   Seeded tenant fleets (2-4 tenants, mixed policies, fault profiles and
-   dispatch modes) exercise the scheduler's two contracts: without a
+   Seeded tenant fleets (2-4 tenants, mixed policies and fault profiles)
+   exercise the scheduler's two contracts: without a
    budget, every tenant's multiplexed result is bit-identical to running
    it alone; with a shared budget, the outcome (signatures, quota
    counters, round count) is identical whatever [n_domains].  Each tenant
-   is first run solo under the full sanitizer — the checked run's shadow
-   interpreter oracle — so scheduler failures are never confused with
+   is first run solo under the full sanitizer — the reference interpreter
+   and region rule — so scheduler failures are never confused with
    engine failures.  Failures shrink to a single-tenant reproducer when
    one exists, else to a minimal tenant subset. *)
 
@@ -384,8 +327,6 @@ let stream_cases_of_seed ?(max_steps = 3000) seed =
         genome = genome_of_seed tseed;
         policy = policies.((seed + i) mod Array.length policies);
         fault = faults.((seed + (2 * i)) mod Array.length faults);
-        compiled = true;
-        threaded = (seed + i) mod 2 = 0;
         max_steps;
       })
 
@@ -457,14 +398,14 @@ let run_streams_seed ?(max_steps = 3000) seed =
   let rec solo = function
     | [] -> None
     | c :: rest -> (
-      match checked ~audit_every:64 c ~compiled:c.compiled with
-      | Ok _ -> solo rest
-      | Error v -> Some (c, Violation v))
+      match run_case ~audit_every:64 c with
+      | None -> solo rest
+      | Some v -> Some (c, v))
   in
   match solo cases with
-  | Some (c, f) ->
-    let c, f = shrink c f in
-    (Some ([ c ], failure_to_string f), n_tenants)
+  | Some (c, v) ->
+    let c, v = shrink c v in
+    (Some ([ c ], Check.violation_to_string v), n_tenants)
   | None -> (
     let multi ?budget_bytes ~n_domains cs =
       Multi_stream.run ~n_domains ~batch_steps:512 ?budget_bytes (tenants_of_cases cs)
@@ -535,20 +476,11 @@ let run_streams_seed ?(max_steps = 3000) seed =
    is unsanitized — it observes the honest pre-crash history, not the
    corruption the sanitizer injected or convicted. *)
 
-let flight_labels c =
-  [
-    ("tenant", "fuzz");
-    ("policy", c.policy);
-    ("dispatch", (if c.threaded then "threaded" else "legacy"));
-  ]
+let flight_labels c = [ ("tenant", "fuzz"); ("policy", c.policy) ]
 
-let flight_dump ?(window = 64) ?params c failure ~path =
+let flight_dump ?(window = 64) ?params c v ~path =
   let params = match params with Some p -> p | None -> params_of c in
-  let upto =
-    match failure with
-    | Violation v -> max 0 (v.Check.step - 1)
-    | Mode_divergence _ -> c.max_steps
-  in
+  let upto = max 0 (v.Check.step - 1) in
   let window = max 1 (min window (max 1 (upto / 4))) in
   let r =
     Metrics.create ~window ~keep:Metrics.default_flight_keep ~labels:(flight_labels c) ()
@@ -563,14 +495,14 @@ let flight_dump ?(window = 64) ?params c failure ~path =
      end-state sample, so a dump always carries at least one window. *)
   if Metrics.n_windows r = 0 then Simulator.sample sim (Metrics.sample r);
   Metrics.flight_dump ~path ~cli:(cli_line c)
-    ~detail:(failure_to_string failure)
+    ~detail:(Check.violation_to_string v)
     (Metrics.windows r)
 
 let self_test ?flight () =
   let image = image_of_genome [ 1 ] in
   (* A threshold of 2 gets the first region installed within a handful of
      steps, so the shrunk reproducer lands well under the 20-step bound. *)
-  let params = { Params.default with Params.net_threshold = 2; validate = true } in
+  let params = { Params.default with Params.net_threshold = 2 } in
   let policy = policy_exn "net" in
   let run max_steps =
     match
@@ -594,16 +526,6 @@ let self_test ?flight () =
     (match flight with
     | None -> ()
     | Some path ->
-      let c =
-        {
-          seed = 1;
-          genome = [ 1 ];
-          policy = "net";
-          fault = None;
-          compiled = true;
-          threaded = Params.default.Params.threaded_dispatch;
-          max_steps = budget;
-        }
-      in
-      ignore (flight_dump ~window:1 ~params c (Violation v) ~path));
+      let c = { seed = 1; genome = [ 1 ]; policy = "net"; fault = None; max_steps = budget } in
+      ignore (flight_dump ~window:1 ~params c v ~path));
     Ok budget

@@ -7,14 +7,13 @@
     real shadow stack, so return addresses — and hence interprocedural
     cycles — behave exactly as in native execution.
 
-    Dispatch is threaded-code by default: {!create} precompiles every
-    block's terminator into a closure indexed by the block's dense id, so a
-    step is an array load and one call — no terminator [match], no
-    per-step target validation for statically-checked transfers (the
-    program constructor already proved them).  [create ~threaded:false]
-    keeps the legacy match-based dispatch as a differential reference; the
-    two modes are bit-identical (same PRNG streams, same step sequence),
-    which the parity suite and the fuzz oracle verify.
+    Dispatch is threaded code: {!create} precompiles every block's
+    terminator into a closure indexed by the block's dense id, so a step is
+    an array load and one call — no terminator [match], no per-step target
+    validation for statically-checked transfers (the program constructor
+    already proved them).  The specification it is checked against is the
+    plain [match] interpreter in [Regionsel_check.Reference], which the
+    sanitizer steps in lockstep with every checked run.
 
     The stepping API is built for the simulator's hot loop: {!step_into}
     fills a caller-owned mutable {!step} record and performs no allocation.
@@ -26,9 +25,7 @@ open Regionsel_isa
 
 type t
 
-val create : ?threaded:bool -> Regionsel_workload.Image.t -> seed:int64 -> t
-(** [threaded] (default [true]) selects threaded-code dispatch; [false]
-    selects the legacy match-based path.  Both produce identical steps. *)
+val create : Regionsel_workload.Image.t -> seed:int64 -> t
 
 type step = {
   mutable block_id : int;  (** Dense id of the block just executed. *)
@@ -46,8 +43,6 @@ val step_into : t -> step -> bool
 
 val block : t -> step -> Block.t
 (** The block a filled step record refers to. *)
-
-val threaded : t -> bool
 
 val save_warm : t -> (int -> unit) -> unit
 (** Serialize the warm state — pc, shadow-stack prefix, root PRNG limbs,

@@ -54,7 +54,7 @@ let spec_of_path ~kind path =
    (the entry is always node 0), and every structure the hot loop touches
    is a flat array indexed by node id.  The address-keyed API below is
    reimplemented on top via [node_by_addr] for cold callers (metrics,
-   emitter, tests). *)
+   emitter, the sanitizer's reference region rule, tests). *)
 type t = {
   id : int;
   entry : Addr.t;
@@ -319,13 +319,6 @@ let block_cache_addr t a =
   else
     let off = block_offset t a in
     if off < 0 then None else Some (t.cache_base + off)
-
-(* Allocation-free variant for the simulator's per-step icache model. *)
-let block_cache_offset t a =
-  if t.cache_base < 0 then -1
-  else
-    let off = block_offset t a in
-    if off < 0 then -1 else t.cache_base + off
 
 let n_link_slots t = Array.length t.link_slots
 

@@ -10,8 +10,12 @@
     cache-layout order (the entry is node 0) and every structure the
     simulator touches per cached step — successor sets, cache offsets, the
     program-wide block-id translation and the inter-region link slots — is
-    a flat array indexed by small ints.  The address-keyed queries below
-    remain for cold callers (metrics, emitter, tests).
+    a flat array indexed by small ints, and the simulator steps regions
+    through those arrays only.  The address-keyed queries below
+    ({!has_edge}, {!node_id}, {!block_cache_addr}) serve callers off the
+    hot path: metrics, the emitter, and the sanitizer's reference region
+    rule ([Regionsel_check.Reference]), which checks the compiled stepper
+    against the spec's edge list.
 
     A region also carries its run-time statistics (executions, completed
     cycles, exits) and its static cost model (copied instructions, exit
@@ -121,8 +125,8 @@ val of_spec : id:int -> selected_at:int -> ?program:Program.t -> spec -> t
     jumps and calls, the continuation of fall-through blocks) not covered
     by an internal edge, and always one stub per indirect branch or return
     (the mispredict path).  Pass [program] to enable the dense
-    [node_of_block] translation and the [link_slots] used by the
-    simulator's compiled execution mode.
+    [node_of_block] translation and the [link_slots] the simulator steps
+    through.
     @raise Invalid_argument if the spec is malformed (entry not a node, or
     an edge endpoint that is not a node). *)
 
@@ -190,9 +194,6 @@ val block_cache_addr : t -> Addr.t -> int option
 (** The byte address in the code cache at which the copy of the given
     block starts, once the region is installed ([None] for non-nodes or
     before installation). *)
-
-val block_cache_offset : t -> Addr.t -> int
-(** Allocation-free {!block_cache_addr}: [-1] instead of [None]. *)
 
 val n_link_slots : t -> int
 (** Length of [link_slots] (0 when built without [~program]). *)

@@ -49,14 +49,18 @@ type observer = {
     block:Regionsel_isa.Block.t ->
     taken:bool ->
     next:Regionsel_isa.Addr.t ->
+    region:Region.t ->
     believed:Regionsel_isa.Addr.t ->
     unit;
       (** Called after every interpreter step, before the mode handlers run:
           [block]/[taken]/[next] are the interpreter's ground truth for the
-          step, [believed] is the start address region mode believes it just
-          executed ([Addr.none] while interpreting).  The loop invariant —
-          the sanitizer's divergence rule — is [believed = block.start]
-          whenever in region mode. *)
+          step, [region] is the region executing it ([Region.dummy] while
+          interpreting), and [believed] is the start address region mode
+          believes it just executed ([Addr.none] while interpreting).  The
+          loop invariant — the sanitizer's divergence rule — is
+          [believed = block.start] whenever in region mode; the sanitizer
+          also checks each step's [region] against the reference region
+          rule applied to the previous step. *)
 }
 (** Sanitizer hook ([Regionsel_check.Check]): a per-run observer with no
     effect on the simulation.  With [observer = None] (the default) the

@@ -17,10 +17,10 @@ type t = {
           footnote 9 expects its algorithms to reduce. *)
   mutable link_hits : int;
       (** Region transitions taken through a patched link slot rather than
-          the dispatch array (compiled mode only; 0 in legacy mode). *)
+          the dispatch array. *)
   mutable node_steps : int;
       (** Cached steps executed through the compiled region automaton
-          (compiled mode only; 0 in legacy mode). *)
+          (equal to the cached step count). *)
   mutable install_rejects : int;
       (** Install attempts the cache rejected (duplicate, blacklisted or
           translation-failed) or the bailout cooldown suppressed. *)

@@ -45,7 +45,17 @@ let layout program =
   let kb = bits_for (n_blocks - 1) and kn = bits_for n_blocks in
   { program; n_blocks; kb; kn; width = kb + 1 + kn }
 
+(* The payload's bit count travels as a u32, so a recording is capped at
+   the events whose fields fit in 2^32 - 1 bits; past that it would be
+   written with a wrapped count that the decoder refuses. *)
+let max_events_of l = 0xFFFF_FFFF / l.width
+let max_events program = max_events_of (layout program)
+
 let pack_range l w events ~pos ~len =
+  if len > max_events_of l then
+    invalid_arg
+      (Printf.sprintf "Event_log: %d events exceed the format's %d-event limit" len
+         (max_events_of l));
   for i = pos to pos + len - 1 do
     let block_id = Branch_stream.get_block_id events i in
     if block_id >= l.n_blocks then invalid_arg "Event_log.encode: block id outside the program";

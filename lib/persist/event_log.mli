@@ -23,7 +23,8 @@ val write_file :
 (** Encode and write atomically (tmp + fsync + rename), returning the
     file's size in bytes.
     @raise Invalid_argument if an event does not fit the program (block id
-    out of range, successor not a block start).
+    out of range, successor not a block start), or the recording holds
+    more than {!max_events}.
     @raise Unix.Unix_error when the file cannot be written. *)
 
 val read_file :
@@ -37,6 +38,13 @@ val read_file :
     version, checksum mismatch, truncation, out-of-range ids, or an
     identity mismatch (different program shape or seed). *)
 
+val max_events : Regionsel_isa.Program.t -> int
+(** The most events one recording (or one wire batch) can hold under the
+    program: the payload's bit count is a u32 field, so
+    [max_events p * width <= 2^32 - 1] where [width] is the per-event
+    field width.  About 280M events for a 15-bit program.  Encoding more
+    raises [Invalid_argument] before anything is packed. *)
+
 (** {1 In-memory codec} — the file body, for tests and corruption drills. *)
 
 val encode :
@@ -44,6 +52,8 @@ val encode :
   seed:int64 ->
   Regionsel_engine.Branch_stream.events ->
   bytes
+(** The file body {!write_file} writes.
+    @raise Invalid_argument as {!write_file} does. *)
 
 val decode :
   bytes ->
@@ -63,8 +73,8 @@ val encode_batch :
   len:int ->
   bytes
 (** Encode events [pos .. pos+len-1].
-    @raise Invalid_argument on a range outside the recording or an event
-    that does not fit the program. *)
+    @raise Invalid_argument on a range outside the recording, more than
+    {!max_events} events, or an event that does not fit the program. *)
 
 val decode_batch :
   bytes ->

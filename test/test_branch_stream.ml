@@ -205,14 +205,15 @@ let bits_for max =
    written as its three parts; the round trip must not care.  The codec
    only needs block ids and block-start successors, so a synthetic
    recording over a long straight-line program will do. *)
+let wide_program n =
+  Program.of_blocks_exn ~entry:0
+    (List.init n (fun i ->
+         Block.make ~start:i ~size:1
+           ~term:(if i = n - 1 then Terminator.Halt else Terminator.Fallthrough)))
+
 let codec_round_trip_wide_events () =
   let n = 70_000 in
-  let program =
-    Program.of_blocks_exn ~entry:0
-      (List.init n (fun i ->
-           Block.make ~start:i ~size:1
-             ~term:(if i = n - 1 then Terminator.Halt else Terminator.Fallthrough)))
-  in
+  let program = wide_program n in
   check_true "event fields wider than 32 bits" (bits_for (n - 1) + 1 + bits_for n > 32);
   let events = Branch_stream.recorder () in
   for i = 0 to 4_999 do
@@ -233,6 +234,23 @@ let codec_round_trip_wide_events () =
     assert (Branch_stream.get_block_id into i = Branch_stream.get_block_id events (i + 3));
     assert (Branch_stream.get_next into i = Branch_stream.get_next events (i + 3))
   done
+
+(* The payload's bit count is a u32, so [max_events] is the largest count
+   whose fields fit in 2^32 - 1 bits: one more event would wrap it.  (The
+   refusal itself needs a recording of that size, ~280M events on gzip,
+   which is out of reach here; the bound it checks against is pinned.) *)
+let codec_event_limit_fits_u32 () =
+  List.iter
+    (fun (name, program) ->
+      let n = Program.n_blocks program in
+      let width = bits_for (n - 1) + 1 + bits_for n in
+      let m = Event_log.max_events program in
+      check_true (name ^ ": max_events fits") (m * width <= 0xFFFF_FFFF);
+      check_true (name ^ ": one more event does not") ((m + 1) * width > 0xFFFF_FFFF))
+    [
+      ("gzip", (Spec.image (Option.get (Suite.find "gzip"))).Image.program);
+      ("70k blocks", wide_program 70_000);
+    ]
 
 let expect_corruption what f =
   match f () with
@@ -382,6 +400,7 @@ let suite =
     case "event-log round trip" codec_round_trip;
     case "event-log file round trip" codec_file_round_trip;
     case "event-log round trip with fields wider than 32 bits" codec_round_trip_wide_events;
+    case "event-log event limit fits the u32 bit count" codec_event_limit_fits_u32;
     case "event-log rejects corruption and identity mismatch" codec_rejects_corruption;
     case "event-log rejects an out-of-range event count" codec_rejects_count_high_word;
     case "decode_batch failure leaves the target unchanged"

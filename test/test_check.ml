@@ -63,16 +63,16 @@ let checked_run_survives_bounded_cache () =
            ~max_steps:8_000 image))
     [ Params.Evict_oldest; Params.Flush_all ]
 
-(* Two fuzz seeds swept across every policy x fault profile x dispatch
-   mode stay violation-free (the CI job runs more seeds with a bigger
+(* Two fuzz seeds swept across every policy x fault profile stay
+   violation-free (the CI job runs more seeds with a bigger
    budget). *)
 let fuzz_matrix_clean () =
   List.iter
     (fun seed ->
       match Fuzz.run_seed ~max_steps:1_500 seed with
-      | Some (c, f), _ ->
+      | Some (c, v), _ ->
         Alcotest.failf "seed %d: %s fails: %s" seed (Fuzz.cli_line c)
-          (Fuzz.failure_to_string f)
+          (Check.violation_to_string v)
       | None, n -> check_true "cases ran" (n > 0))
     [ 1; 2 ]
 
@@ -96,6 +96,49 @@ let audit_convicts_desynced_index () =
     check_int "violation carries the audit step" 42 v.Check.step;
     check_true "convicted by the dispatch-liveness rule" (v.Check.rule = "dispatch-live")
 
+(* The reference region rule on a hand-built cache: region [r] is A -> B
+   -> C with a back edge C -> A, region [r2] is D alone.  A stay needs a
+   spec edge; every other move goes where the dispatch array says. *)
+let reference_region_rule () =
+  let module Code_cache = Regionsel_engine.Code_cache in
+  let module Region = Regionsel_engine.Region in
+  let module Reference = Regionsel_check.Reference in
+  let open Regionsel_isa in
+  let mk start = Block.make ~start ~size:2 ~term:Terminator.Return in
+  let a = mk 0 and b = mk 16 and c = mk 32 and d = mk 48 in
+  let program = Program.of_blocks_exn ~entry:0 [ a; b; c; d ] in
+  let cache = Code_cache.create ~program () in
+  let install nodes edges =
+    Code_cache.install_exn cache
+      {
+        Region.entry = (List.hd nodes).Block.start;
+        nodes;
+        edges;
+        copied_insts = 2 * List.length nodes;
+        kind = Region.Combined;
+        aux_entries = [];
+        layout_hint = [];
+      }
+  in
+  let r = install [ a; b; c ] [ (0, 16); (16, 32); (32, 0) ] in
+  let r2 = install [ d ] [] in
+  let next region block ~taken next =
+    Reference.next_region ~cache ~program ~region ~block ~taken ~next
+  in
+  check_true "internal edge stays" (next r a ~taken:true 16 == r);
+  check_true "back edge to the entry stays" (next r c ~taken:true 0 == r);
+  check_true "a node that is no edge target from here exits"
+    (next r a ~taken:true 32 == Region.dummy);
+  check_true "a non-edge to the region's own entry is a self-link"
+    (next r b ~taken:true 0 == r);
+  check_true "an exit to another entry enters that region" (next r c ~taken:true 48 == r2);
+  check_true "a taken branch from the interpreter dispatches"
+    (next Region.dummy d ~taken:true 0 == r);
+  check_true "a fall-through keeps interpreting"
+    (next Region.dummy c ~taken:false 48 == Region.dummy);
+  check_true "a taken branch to a non-entry keeps interpreting"
+    (next Region.dummy a ~taken:true 16 == Region.dummy)
+
 let suite =
   [
     case "self-test break caught and shrunk" self_test_catches_and_shrinks;
@@ -103,4 +146,5 @@ let suite =
     case "checked run survives bounded cache" checked_run_survives_bounded_cache;
     case "fuzz matrix clean" fuzz_matrix_clean;
     case "audit convicts desynced index" audit_convicts_desynced_index;
+    case "reference region rule" reference_region_rule;
   ]

@@ -2,6 +2,7 @@ open Regionsel_isa
 module Builder = Regionsel_workload.Builder
 module Behavior = Regionsel_workload.Behavior
 module Interp = Regionsel_engine.Interp
+module Reference = Regionsel_check.Reference
 open Fixtures
 
 (* [Interp.step] is gone (it allocated a record per executed block); tests
@@ -66,20 +67,32 @@ let determinism () =
   Alcotest.(check (list int)) "same seed same path" (run 3L) (run 3L);
   check_true "different seeds usually differ" (run 3L <> run 4L)
 
-(* The tentpole guarantee of the threaded-code dispatch: the compiled
-   closure table and the legacy terminator [match] produce the same step
-   stream, bit for bit — same blocks, same taken flags, same targets, and
-   hence the same per-site PRNG draws. *)
-let threaded_matches_legacy () =
+(* The threaded closure table against the specification: the reference
+   interpreter in [Regionsel_check.Reference] (a plain terminator [match]
+   with every target validated) produces the same step stream, bit for
+   bit — same blocks, same taken flags, same targets, and hence the same
+   per-site PRNG draws — through to the same halt. *)
+let matches_reference () =
   List.iter
     (fun (name, image) ->
-      let stream threaded =
-        let interp = Interp.create ~threaded image ~seed:7L in
-        List.map (fun s -> (s.block.Block.start, s.taken, s.next)) (steps_until_halt interp)
+      let reference =
+        let r = Reference.create image ~seed:7L in
+        let rec go acc =
+          match Reference.step r with
+          | None -> List.rev acc
+          | Some s ->
+            go ((s.Reference.block.Block.start, s.Reference.taken, s.Reference.next) :: acc)
+        in
+        go []
+      in
+      let engine =
+        List.map
+          (fun s -> (s.block.Block.start, s.taken, s.next))
+          (steps_until_halt (Interp.create image ~seed:7L))
       in
       Alcotest.(check (list (triple int bool int)))
-        (name ^ ": threaded stream equals legacy stream")
-        (stream false) (stream true))
+        (name ^ ": Interp stream equals the reference stream")
+        reference engine)
     [
       "figure2", figure2 ~iters:100 ();
       "figure3", figure3 ();
@@ -163,7 +176,7 @@ let suite =
     case "loop trip count" loop_trip_count;
     case "call/return balance" call_return_balance;
     case "determinism" determinism;
-    case "threaded dispatch matches legacy" threaded_matches_legacy;
+    case "threaded dispatch matches the reference" matches_reference;
     case "return with empty stack halts" return_with_empty_stack_halts;
     case "runaway recursion detected" runaway_recursion_detected;
     case "indirect targets followed" indirect_targets_followed;

@@ -12,6 +12,9 @@ module Domain_pool = Regionsel_engine.Domain_pool
 module Edge_profile = Regionsel_engine.Edge_profile
 module Run_metrics = Regionsel_metrics.Run_metrics
 module Policies = Regionsel_core.Policies
+module Check = Regionsel_check.Check
+module Reference = Regionsel_check.Reference
+module Interp = Regionsel_engine.Interp
 module Addr = Regionsel_isa.Addr
 module Block = Regionsel_isa.Block
 open Fixtures
@@ -67,67 +70,82 @@ let empty_fault_profile_is_identity () =
   let with_empty_faults = List.map (fun (spec, p) -> run ~params spec p) tasks in
   check_pairwise ~what:"empty fault profile" reference with_empty_faults
 
-(* The compiled automaton and the link cache are pure execution-path
-   mechanics: every exported metric except the compiled-only link/node
-   counters (which are 0 in legacy mode by construction) must be
-   bit-identical between the two modes, across the whole matrix. *)
-let legacy_params ?(faults = None) () =
-  { Regionsel_engine.Params.default with
-    Regionsel_engine.Params.compiled_regions = false;
-    faults
-  }
-
-let strip_compiled_counters (m : Run_metrics.t) =
-  { m with Run_metrics.link_hits = 0; link_severs = 0; links_high_water = 0; node_steps = 0 }
-
-let compiled_matches_legacy () =
-  let compiled = List.map (fun (spec, p) -> strip_compiled_counters (run spec p)) tasks in
-  let legacy =
-    List.map (fun (spec, p) -> strip_compiled_counters (run ~params:(legacy_params ()) spec p)) tasks
-  in
-  check_pairwise ~what:"compiled vs legacy execution" legacy compiled
-
-(* Same comparison under fault injection: invalidation must sever links in
-   a way that is metric-invisible — a stale link surviving an SMC
-   invalidation would show up here as diverging hit rates or dispatches. *)
-let compiled_matches_legacy_under_faults () =
-  let faults = Regionsel_engine.Params.fault_profile "mixed" in
-  let params = { Regionsel_engine.Params.default with Regionsel_engine.Params.faults } in
-  let compiled = List.map (fun (spec, p) -> strip_compiled_counters (run ~params spec p)) tasks in
-  let legacy =
+(* The engine against its specification, across the whole matrix: every
+   run goes through [Check.checked_run], which holds each step to the
+   reference interpreter (block, branch outcome, target) and to the
+   reference region rule (stay on an internal edge, else dispatch), and
+   audits the cache.  The checked run is pure observation, so its metrics
+   must also equal the plain run's — apart from the telemetry counters of
+   the recorder the sanitizer attaches, which a plain run does not have. *)
+let checked_matrix ?params ~what () =
+  let plain = List.map (fun (spec, p) -> run ?params spec p) tasks in
+  let checked =
     List.map
-      (fun (spec, p) -> strip_compiled_counters (run ~params:(legacy_params ~faults ()) spec p))
+      (fun ((spec : Spec.t), p) ->
+        let m =
+          Run_metrics.of_result
+            (Check.checked_run ?params ~seed:1L
+               ~policy:(Option.get (Policies.find p))
+               ~max_steps:(budget spec) (Spec.image spec))
+        in
+        { m with Run_metrics.telemetry = None })
       tasks
   in
-  check_pairwise ~what:"compiled vs legacy under faults" legacy compiled
+  check_pairwise ~what plain checked
 
-(* Interpreter dispatch is pure mechanics: the threaded closure table and
-   the legacy terminator match must agree on every exported metric with
-   nothing stripped — unlike region modes, dispatch mode is invisible even
-   to the link/node counters. *)
-let legacy_dispatch_params ?(faults = None) () =
-  { Regionsel_engine.Params.default with
-    Regionsel_engine.Params.threaded_dispatch = false;
-    faults
-  }
+(* The legacy region stepper's decision now lives in lib/check as the
+   reference region rule ([Reference.next_region]); the compiled automaton
+   is held to it on every step of every clean run in the matrix. *)
+let compiled_matches_legacy_rule () = checked_matrix ~what:"checked vs plain run" ()
 
-let threaded_matches_legacy_dispatch () =
-  let threaded = List.map (fun (spec, p) -> run spec p) tasks in
-  let legacy =
-    List.map (fun (spec, p) -> run ~params:(legacy_dispatch_params ()) spec p) tasks
-  in
-  check_pairwise ~what:"threaded vs legacy dispatch" legacy threaded
+(* The legacy terminator [match] now lives in lib/check as the reference
+   interpreter.  Across every workload of the suite, [Interp]'s threaded
+   closure table must produce its step stream bit for bit; then, from a
+   warm-state snapshot taken halfway, a fresh reference interpreter loaded
+   with that stream must continue exactly as the engine does. *)
+let threaded_matches_legacy_semantics () =
+  List.iter
+    (fun (spec : Spec.t) ->
+      let image = Spec.image spec in
+      let n = budget spec in
+      let interp = Interp.create image ~seed:1L in
+      let s = Interp.make_step () in
+      let lockstep reference ~from ~upto =
+        let rec go i =
+          if i < upto then
+            match Interp.step_into interp s, Reference.step reference with
+            | false, None -> ()
+            | true, Some r ->
+              let b = Interp.block interp s in
+              if b.Block.start <> r.Reference.block.Block.start
+                 || s.Interp.taken <> r.Reference.taken
+                 || s.Interp.next <> r.Reference.next
+              then
+                Alcotest.failf "%s: step %d differs: engine %d/%b/%d, reference %d/%b/%d"
+                  spec.Spec.name i b.Block.start s.Interp.taken s.Interp.next
+                  r.Reference.block.Block.start r.Reference.taken r.Reference.next;
+              go (i + 1)
+            | true, None | false, Some _ ->
+              Alcotest.failf "%s: step %d: one interpreter halted, the other did not"
+                spec.Spec.name i
+        in
+        go from
+      in
+      lockstep (Reference.create image ~seed:1L) ~from:0 ~upto:(n / 2);
+      let saved = Queue.create () in
+      Interp.save_warm interp (fun v -> Queue.push v saved);
+      let restored = Reference.create image ~seed:1L in
+      Reference.load_warm restored (fun () -> Queue.pop saved);
+      check_true (spec.Spec.name ^ ": warm stream fully consumed") (Queue.is_empty saved);
+      lockstep restored ~from:(n / 2) ~upto:n)
+    Suite.all
 
-let threaded_matches_legacy_dispatch_under_faults () =
+(* Under faults the region rule is relaxed only on the steps right after a
+   fault, bailout or flush; everything else stays strict. *)
+let checked_matrix_under_faults () =
   let faults = Regionsel_engine.Params.fault_profile "mixed" in
   let params = { Regionsel_engine.Params.default with Regionsel_engine.Params.faults } in
-  let threaded = List.map (fun (spec, p) -> run ~params spec p) tasks in
-  let legacy =
-    List.map
-      (fun (spec, p) -> run ~params:(legacy_dispatch_params ~faults ()) spec p)
-      tasks
-  in
-  check_pairwise ~what:"threaded vs legacy dispatch under faults" legacy threaded
+  checked_matrix ~params ~what:"checked vs plain run under faults" ()
 
 (* The batched edge profile must be observationally exact.  Part one: a
    real fault run (watchdog windows = Stats.snapshot boundaries, each
@@ -145,7 +163,7 @@ let batched_profile_matches_per_step () =
     {
       Simulator.on_context = (fun _ -> ());
       on_step =
-        (fun ~step:_ ~block ~taken:_ ~next ~believed:_ ->
+        (fun ~step:_ ~block ~taken:_ ~next ~region:_ ~believed:_ ->
           if not (Addr.is_none next) then begin
             let key = (block.Block.start, next) in
             Hashtbl.replace reference key
@@ -219,11 +237,10 @@ let suite =
     case "sequential runs are deterministic" sequential_deterministic;
     case "pooled runs match sequential bit-for-bit" sequential_vs_parallel;
     case "empty fault profile leaves metrics identical" empty_fault_profile_is_identity;
-    case "compiled matches legacy execution" compiled_matches_legacy;
-    case "compiled matches legacy under faults" compiled_matches_legacy_under_faults;
-    case "threaded dispatch matches legacy dispatch" threaded_matches_legacy_dispatch;
-    case "threaded dispatch matches legacy dispatch under faults"
-      threaded_matches_legacy_dispatch_under_faults;
+    case "compiled matches legacy execution's region rule" compiled_matches_legacy_rule;
+    case "threaded dispatch matches legacy dispatch semantics"
+      threaded_matches_legacy_semantics;
+    case "checked matrix, mixed faults" checked_matrix_under_faults;
     case "batched edge profile is exact at every boundary"
       batched_profile_exact_at_every_boundary;
   ]

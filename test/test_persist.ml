@@ -119,16 +119,12 @@ let assert_identity ?(seed = 7L) ~params ~policy ~max_steps ~mid image =
     Alcotest.failf "%s (mid %d): end-of-run snapshot diverged in sections [%s]" policy mid
       (String.concat "; " (diff_frames full_end restored_end))
 
-let identity_across_policies_and_dispatch_modes () =
+let identity_across_policies () =
   let image = figure2 ~iters:4_000 () in
   check_int "the whole policy matrix is under test" 7 (List.length Policies.all);
   List.iter
     (fun (policy, _) ->
-      List.iter
-        (fun threaded ->
-          let params = { Params.default with Params.threaded_dispatch = threaded } in
-          assert_identity ~params ~policy ~max_steps:30_000 ~mid:11_000 image)
-        [ true; false ])
+      assert_identity ~params:Params.default ~policy ~max_steps:30_000 ~mid:11_000 image)
     Policies.all
 
 (* The same gate under an adversarial schedule: every fault stream firing,
@@ -148,15 +144,10 @@ let identity_under_mixed_faults_with_crashes () =
     }
   in
   let image = figure2 ~iters:20_000 () in
+  let params = { Params.default with Params.faults = Some profile } in
   List.iter
-    (fun threaded ->
-      let params =
-        { Params.default with Params.faults = Some profile; threaded_dispatch = threaded }
-      in
-      List.iter
-        (fun mid -> assert_identity ~params ~policy:"net" ~max_steps:60_000 ~mid image)
-        [ 9_500; 31_000 ])
-    [ true; false ]
+    (fun mid -> assert_identity ~params ~policy:"net" ~max_steps:60_000 ~mid image)
+    [ 9_500; 31_000 ]
 
 (* Restoring under the sanitizer: the shadow oracle fast-forwards to the
    restored position, so a checked run can resume a snapshot without
@@ -562,7 +553,7 @@ let missing_file_raises_sys_error () =
 
 let suite =
   [
-    case "identity across policies and dispatch modes" identity_across_policies_and_dispatch_modes;
+    case "identity across policies and end snapshots" identity_across_policies;
     case "identity under mixed faults with crashes" identity_under_mixed_faults_with_crashes;
     case "checked run resumes a snapshot" checked_run_resumes_a_snapshot;
     case "restore reconciles span ledger" restore_reconciles_span_ledger;

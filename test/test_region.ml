@@ -54,38 +54,103 @@ let offsets_before_and_after_install () =
     (Region.block_offset r 16);
   check_int "non-node offset is -1" (-1) (Region.block_offset r 100);
   (* ...but cache addresses do not exist until the cache places the region. *)
-  check_int "no cache offset before install" (-1) (Region.block_cache_offset r 16);
   check_true "no cache addr before install" (Region.block_cache_addr r 16 = None);
   Region.set_cache_base r 1_000;
-  check_int "cache offset after install" (1_000 + (2 * Region.inst_bytes))
-    (Region.block_cache_offset r 16);
-  check_true "cache addr after install"
-    (Region.block_cache_addr r 0 = Some 1_000);
-  check_int "non-node still -1 after install" (-1) (Region.block_cache_offset r 100)
+  check_true "cache addr after install" (Region.block_cache_addr r 0 = Some 1_000);
+  check_true "second block's cache addr follows the entry's copy"
+    (Region.block_cache_addr r 16 = Some (1_000 + (2 * Region.inst_bytes)));
+  check_true "non-node has no cache addr after install" (Region.block_cache_addr r 100 = None)
 
-let edge_queries_agree () =
-  let nodes = [ mk 0 2 Terminator.Return; mk 16 3 Terminator.Return;
-                mk 32 4 Terminator.Return ] in
-  let edges = [ 0, 16; 16, 32; 32, 0; 0, 32 ] in
-  let r = Region.of_spec ~id:0 ~selected_at:0 (spec ~entry:0 ~edges nodes) in
-  check_true "spans cycle via edge to entry" r.Region.spans_cycle;
-  List.iter
-    (fun src ->
+(* The compiled automaton against the spec it was built from, over random
+   specs: up to 96 nodes, so bitset rows span up to three words, random
+   edges (repeats allowed), a random layout hint and non-node blocks
+   interleaved in the program.  Node [i] starts at [32 * i]; the block at
+   [32 * i + 16] is never a node. *)
+let random_spec =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 96 >>= fun n ->
+      int_bound (n - 1) >>= fun entry ->
+      list_size (int_bound (3 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+      >>= fun edges ->
+      list_size (int_bound n) (int_bound (n - 1)) >>= fun hint -> return (n, entry, edges, hint))
+  in
+  let print (n, entry, edges, hint) =
+    Printf.sprintf "n=%d entry=%d edges=[%s] hint=[%s]" n entry
+      (String.concat "; " (List.map (fun (s, d) -> Printf.sprintf "%d>%d" s d) edges))
+      (String.concat "; " (List.map string_of_int hint))
+  in
+  QCheck.make ~print gen
+
+let edge_queries_agree =
+  QCheck.Test.make ~name:"edge queries agree" ~count:100 random_spec
+    (fun (n, entry, edge_ix, hint_ix) ->
+      let addr i = 32 * i in
+      let nodes = List.init n (fun i -> mk (addr i) (1 + (i mod 5)) Terminator.Return) in
+      let others = List.init n (fun i -> mk (addr i + 16) 1 Terminator.Return) in
+      let program = Program.of_blocks_exn ~entry:(addr entry) (nodes @ others) in
+      let edges = List.map (fun (s, d) -> (addr s, addr d)) edge_ix in
+      let r =
+        Region.of_spec ~id:0 ~selected_at:0 ~program
+          (spec ~entry:(addr entry) ~edges ~hint:(List.map addr hint_ix) nodes)
+      in
+      let expect what ok = if not ok then QCheck.Test.fail_reportf "%s" what in
+      let nid a = Region.node_id r a in
+      expect "spans_cycle"
+        (r.Region.spans_cycle = List.exists (fun (_, d) -> d = addr entry) edges);
       List.iter
-        (fun dst ->
-          let by_addr = Region.has_edge r ~src ~dst in
-          check_true "has_edge matches the spec"
-            (by_addr = List.mem (src, dst) edges);
-          let s = Region.node_id r src and d = Region.node_id r dst in
-          check_true "bitset agrees with has_edge"
-            (Region.has_edge_nodes r ~src:s ~dst:d = by_addr))
-        [ 0; 16; 32 ])
-    [ 0; 16; 32 ];
-  check_true "edge to a non-node is absent" (not (Region.has_edge r ~src:0 ~dst:100));
-  (* The compiled fall-through is the first internal successor listed. *)
-  check_int "hot successor is the first edge" 16 r.Region.hot_succ_addr.(Region.node_id r 0);
-  check_int "hot successor node id" (Region.node_id r 16)
-    r.Region.hot_succ_node.(Region.node_id r 0)
+        (fun (src : Block.t) ->
+          let src = src.Block.start in
+          List.iter
+            (fun (dst : Block.t) ->
+              let dst = dst.Block.start in
+              let want = List.mem (src, dst) edges in
+              expect
+                (Printf.sprintf "has_edge %d %d" src dst)
+                (Region.has_edge r ~src ~dst = want);
+              expect
+                (Printf.sprintf "has_edge_nodes %d %d" src dst)
+                (Region.has_edge_nodes r ~src:(nid src) ~dst:(nid dst) = want))
+            nodes;
+          (* The compiled fall-through is the first edge the spec lists. *)
+          let hot = List.assoc_opt src edges in
+          let s = nid src in
+          expect
+            (Printf.sprintf "hot_succ_addr of %d" src)
+            (r.Region.hot_succ_addr.(s) = Option.value hot ~default:(-1));
+          expect
+            (Printf.sprintf "hot_succ_node of %d" src)
+            (r.Region.hot_succ_node.(s) = match hot with Some d -> nid d | None -> -1);
+          expect
+            (Printf.sprintf "edge from %d to a non-node" src)
+            (not (Region.has_edge r ~src ~dst:(src + 16))))
+        nodes;
+      List.iter
+        (fun (b : Block.t) ->
+          let a = b.Block.start in
+          let is_node = a mod 32 = 0 in
+          expect (Printf.sprintf "node_id of %d" a)
+            (if is_node then (Region.node_block r (nid a)).Block.start = a else nid a = -1);
+          expect
+            (Printf.sprintf "node_of_block of %d" a)
+            (r.Region.node_of_block.(Program.block_id program a) = nid a);
+          expect (Printf.sprintf "cache addr of %d before install" a)
+            (Region.block_cache_addr r a = None))
+        (nodes @ others);
+      (* Installed: each node's copy sits at [cache_base + node_offsets],
+         the offsets being the layout's running byte count. *)
+      Region.set_cache_base r 4_096;
+      let offset = ref 0 in
+      for i = 0 to r.Region.n_nodes - 1 do
+        let b = Region.node_block r i in
+        expect (Printf.sprintf "node %d offset" i) (r.Region.node_offsets.(i) = !offset);
+        expect
+          (Printf.sprintf "node %d cache addr" i)
+          (Region.block_cache_addr r b.Block.start
+          = Some (r.Region.cache_base + r.Region.node_offsets.(i)));
+        offset := !offset + (b.Block.size * Region.inst_bytes)
+      done;
+      List.for_all (fun (b : Block.t) -> Region.block_cache_addr r b.Block.start = None) others)
 
 let wide_region_uses_multiword_rows () =
   (* 40 nodes: each bitset row spans two 32-bit words, so edges to nodes
@@ -137,7 +202,7 @@ let suite =
     case "layout hint ordering" layout_hint_ordering;
     case "entry first even when hinted late" entry_first_even_when_hinted_late;
     case "offsets before and after install" offsets_before_and_after_install;
-    case "edge queries agree" edge_queries_agree;
+    QCheck_alcotest.to_alcotest edge_queries_agree;
     case "wide region uses multiword rows" wide_region_uses_multiword_rows;
     case "block translation requires program" block_translation_requires_program;
     case "duplicate nodes deduped" duplicate_nodes_deduped;
