@@ -46,16 +46,12 @@ val audit_cache :
 (** Audit every cache invariant, raising {!Check_violation} (stamped with
     [step]) on the first failure.  Rules, in checking order:
 
-    - ["dispatch-live"]: every dispatch slot holds a live region.
+    - ["dispatch-live"]: every dispatch slot holds a live region (one
+      whose entry slot holds it).
     - ["dispatch-claim"]: that region claims the slot's block as its entry
       or one of its aux entries.
-    - ["live-count"]: the entry index holds exactly [n_regions] regions.
-    - ["entry-key"]: each entry-index key is its region's entry address.
-    - ["aux-key"]: each aux-index key is in its region's aux-entry set.
-    - ["aux-live"]: each aux-index region is live.
-    - ["index-block"] / ["index-dispatch"]: each index binding routes
-      through a block-start address whose dispatch slot holds that exact
-      region — [find] and [dispatch] can never disagree.
+    - ["live-count"]: [Code_cache.regions] (the FIFO's live elements)
+      holds exactly [n_regions] regions.
     - ["link-live"] / ["link-dispatch"]: a patched link slot targets a live
       region and agrees with the dispatch array ({e no link outlives its
       target}).
@@ -117,7 +113,7 @@ val checked_run :
     caller exporting traces audits the very recorder it exports.
 
     [break_at] is the fuzz driver's self-test hook: from that step on, the
-    first live region is deliberately desynchronized from the entry index
+    first live region's entry dispatch slot is deliberately cleared
     ([Code_cache.unsafe_corrupt_for_tests]) — a healthy sanitizer must
     then raise.  Never set it outside tests.
 

@@ -20,8 +20,6 @@ type blacklist_entry = {
 }
 
 type t = {
-  by_entry : Region.t Int_tbl.t;
-  by_aux_entry : Region.t Int_tbl.t;
   mutable fifo : Region.t Queue.t;
       (* Install order.  Retired regions are left in place as tombstones and
          skipped lazily, so eviction pops each element at most once:
@@ -47,12 +45,13 @@ type t = {
   mutable quota_evictions : int;
   eviction : Params.eviction;
   evicted_entries : unit Int_tbl.t;
-  program : Program.t option;
+  program : Program.t;
   dispatch : Region.t option array;
-      (* block_id -> live region claiming that block as entry or aux entry.
-         Present only when [create] was given the program; mirrors
-         by_entry/by_aux_entry exactly so the simulator's per-transition
-         probe is one array read instead of up to two hash probes. *)
+      (* block_id -> live region claiming that block as entry or aux entry:
+         the cache's only live index.  A region is live exactly when its
+         entry slot holds it; [find], [mem] and [is_live] all read this
+         array, and the simulator's per-transition probe is one read. *)
+  mutable n_live : int;
   incoming_links : (Region.t * int) list Int_tbl.t;
       (* target region id -> (source region, slot) pairs whose exit stub is
          patched to jump to the target, so retiring a region severs every
@@ -98,10 +97,8 @@ type t = {
 let create ?capacity_bytes ?(eviction = Params.Flush_all)
     ?(blacklist_base_cooldown = Params.default.Params.blacklist_base_cooldown)
     ?(blacklist_max_shift = Params.default.Params.blacklist_max_shift)
-    ?(telemetry = Telemetry.none) ?program () =
+    ?(telemetry = Telemetry.none) ~program () =
   {
-    by_entry = Int_tbl.create 256;
-    by_aux_entry = Int_tbl.create 64;
     fifo = Queue.create ();
     fifo_tombstones = 0;
     retired = [];
@@ -115,10 +112,8 @@ let create ?capacity_bytes ?(eviction = Params.Flush_all)
     eviction;
     evicted_entries = Int_tbl.create 64;
     program;
-    dispatch =
-      (match program with
-      | Some p -> Array.make (max 1 (Program.n_blocks p)) None
-      | None -> [||]);
+    dispatch = Array.make (max 1 (Program.n_blocks program)) None;
+    n_live = 0;
     incoming_links = Int_tbl.create 64;
     slot_links = Int_tbl.create 64;
     links_created = 0;
@@ -171,49 +166,25 @@ let sever_slot t id =
         | None -> ())
       sources
 
+(* Entries and aux entries are nodes, and [Region.of_spec] only accepts
+   nodes that are blocks of the program, so every claimed address has a
+   slot. *)
 let dispatch_set t a region =
-  match t.program with
-  | None -> ()
-  | Some p ->
-    let id = Program.block_id p a in
-    if id >= 0 then begin
-      sever_slot t id;
-      t.dispatch.(id) <- Some region
-    end
+  let id = Program.block_id t.program a in
+  sever_slot t id;
+  t.dispatch.(id) <- Some region
 
 let dispatch_clear t a region =
-  match t.program with
-  | None -> ()
-  | Some p ->
-    let id = Program.block_id p a in
-    if id >= 0 then begin
-      match t.dispatch.(id) with
-      | Some r when r == region -> t.dispatch.(id) <- None
-      | Some _ | None -> ()
-    end
+  let id = Program.block_id t.program a in
+  match t.dispatch.(id) with
+  | Some r when r == region -> t.dispatch.(id) <- None
+  | Some _ | None -> ()
 
-let find t a =
-  match Int_tbl.find_opt t.by_entry a with
-  | Some _ as hit -> hit
-  | None -> Int_tbl.find_opt t.by_aux_entry a
-
-(* Option-free [find] for callers without a block id at hand. *)
-let find_live t a =
-  match Int_tbl.find t.by_entry a with
-  | r -> r
-  | exception Not_found -> Int_tbl.find t.by_aux_entry a
-
-let mem t a =
-  match t.program with
-  | Some p ->
-    let id = Program.block_id p a in
-    id >= 0 && (match t.dispatch.(id) with Some _ -> true | None -> false)
-  | None -> Int_tbl.mem t.by_entry a || Int_tbl.mem t.by_aux_entry a
+let find t a = dispatch t (Program.block_id t.program a)
+let mem t a = match find t a with Some _ -> true | None -> false
 
 let is_live t (region : Region.t) =
-  match Int_tbl.find_opt t.by_entry region.Region.entry with
-  | Some r -> r == region
-  | None -> false
+  match find t region.Region.entry with Some r -> r == region | None -> false
 
 (* Sever every link into the retiring region — the link-cache invariant is
    "no link may outlive its target region" — and drop its own outgoing
@@ -243,15 +214,9 @@ let sever_links_into t (region : Region.t) =
    invalidations. *)
 let retire t (region : Region.t) =
   sever_links_into t region;
-  Int_tbl.remove t.by_entry region.Region.entry;
   dispatch_clear t region.Region.entry region;
-  Addr.Set.iter
-    (fun a ->
-      (match Int_tbl.find_opt t.by_aux_entry a with
-      | Some r when r == region -> Int_tbl.remove t.by_aux_entry a
-      | Some _ | None -> ());
-      dispatch_clear t a region)
-    region.Region.aux_entries;
+  Addr.Set.iter (fun a -> dispatch_clear t a region) region.Region.aux_entries;
+  t.n_live <- t.n_live - 1;
   Int_tbl.replace t.evicted_entries region.Region.entry ();
   t.retired <- region :: t.retired;
   t.bytes_used <- t.bytes_used - Region.cache_bytes region
@@ -318,7 +283,7 @@ let flush_all t =
   audited t "flush";
   List.rev !flushed
 
-let n_regions t = Int_tbl.length t.by_entry
+let n_regions t = t.n_live
 
 (* The byte bound installs must respect: the static capacity tightened by
    the runtime quota, whichever is smaller. *)
@@ -402,7 +367,7 @@ let install t (spec : Region.spec) =
         Error Duplicate_entry
       end
       else begin
-        let region = Region.of_spec ~id:t.next_id ~selected_at:t.next_id ?program:t.program spec in
+        let region = Region.of_spec ~id:t.next_id ~selected_at:t.next_id ~program:t.program spec in
         let bytes = Region.cache_bytes region in
         match t.quota_bytes with
         | Some quota when bytes > quota ->
@@ -416,20 +381,17 @@ let install t (spec : Region.spec) =
           t.next_id <- t.next_id + 1;
           if Int_tbl.mem t.evicted_entries spec.Region.entry then
             t.regenerations <- t.regenerations + 1;
-          Int_tbl.replace t.by_entry spec.Region.entry region;
+          t.n_live <- t.n_live + 1;
           dispatch_set t spec.Region.entry region;
           Addr.Set.iter
             (fun a ->
               (* An aux entry must not steal an address another live region
-                 already claims: overwriting its index slot would leave that
+                 already claims: overwriting its slot would leave that
                  region live-but-undispatchable (and, once this region
                  retires, a permanently dead dispatch slot).  The colliding
                  aux entry simply is not dispatchable — the owning region
                  still executes through it via its internal edges. *)
-              if not (mem t a) then begin
-                Int_tbl.replace t.by_aux_entry a region;
-                dispatch_set t a region
-              end)
+              if not (mem t a) then dispatch_set t a region)
             region.Region.aux_entries;
           Queue.add region t.fifo;
           t.bytes_used <- t.bytes_used + bytes;
@@ -540,19 +502,17 @@ let now t = t.now
 let clock_regressions t = t.clock_regressions
 let fifo_length t = Queue.length t.fifo
 let fifo_tombstones t = t.fifo_tombstones
-let iter_entries t f = Int_tbl.iter f t.by_entry
-let iter_aux_entries t f = Int_tbl.iter f t.by_aux_entry
 
-(* Deliberately break the dispatch ↔ index agreement: drop one live region
-   from [by_entry] while leaving its dispatch slot and FIFO element in
-   place.  Exists only so the sanitizer's self-test (regionsel_fuzz
-   --self-test-break) has a real corruption to catch; never called by the
-   engine. *)
+(* Deliberately break the dispatch ↔ live-count agreement: clear one live
+   region's entry slot while leaving its FIFO element, its aux slots and
+   the live counter in place.  Exists only so the sanitizer's self-test
+   (regionsel_fuzz --self-test-break) has a real corruption to catch;
+   never called by the engine. *)
 let unsafe_corrupt_for_tests t =
   match Queue.fold (fun acc r -> if acc = None && is_live t r then Some r else acc) None t.fifo with
   | None -> false
   | Some r ->
-    Int_tbl.remove t.by_entry r.Region.entry;
+    t.dispatch.(Program.block_id t.program r.Region.entry) <- None;
     true
 
 let region_by_id t id =
@@ -569,15 +529,19 @@ let region_by_id t id =
    retired — retired regions still feed the post-run metrics), then the
    structural state as region-id references: the live set, the FIFO with
    its tombstones, the retirement list in its original order, the
-   aux-entry index, the evicted-entry set, and the live link graph as
-   (from, slot, target) triples.  The dispatch array is not saved: it
-   mirrors by_entry/by_aux_entry exactly, so restore rebuilds it from
-   them (and the post-restore audit re-proves the agreement).
+   aux-entry bindings, the evicted-entry set, and the live link graph as
+   (from, slot, target) triples.  The dispatch array itself is not saved:
+   restore rebuilds it from the live set (entry slots) and the aux-entry
+   bindings, which [save] reads off the array in block-id order — address
+   order — as the (address, region) pairs whose slot is not the region's
+   own entry.
 
-   The aux-entry index IS saved explicitly rather than rebuilt by
+   The aux-entry bindings ARE saved explicitly rather than rebuilt by
    replaying installs: an aux entry only claims a dispatch slot that was
-   free at its own install time, so the index depends on install order
+   free at its own install time, so the bindings depend on install order
    and interleaved retirements — replay would have to re-run history.
+   [load] therefore validates each binding against the program and the
+   live set before committing it.
 
    [load] is decode-then-commit: the entire stream is parsed and
    cross-validated into local structures first, and the cache is only
@@ -613,12 +577,20 @@ let save t emit =
   Queue.iter (fun (r : Region.t) -> emit r.Region.id) t.fifo;
   emit (List.length t.retired);
   List.iter (fun (r : Region.t) -> emit r.Region.id) t.retired;
-  emit (Int_tbl.length t.by_aux_entry);
+  let aux = ref [] in
+  for id = Array.length t.dispatch - 1 downto 0 do
+    match t.dispatch.(id) with
+    | Some r ->
+      let a = (Program.block_of_id t.program id).Block.start in
+      if not (Addr.equal a r.Region.entry) then aux := (a, r) :: !aux
+    | None -> ()
+  done;
+  emit (List.length !aux);
   List.iter
     (fun (a, (r : Region.t)) ->
       emit a;
       emit r.Region.id)
-    (Int_tbl.sorted_pairs t.by_aux_entry);
+    !aux;
   emit (Int_tbl.length t.evicted_entries);
   List.iter (fun (a, ()) -> emit a) (Int_tbl.sorted_pairs t.evicted_entries);
   let triples = ref [] in
@@ -648,11 +620,7 @@ let read_len read what =
   n
 
 let load t read =
-  let program =
-    match t.program with
-    | Some p -> p
-    | None -> failwith "Code_cache.load: cache was created without a program"
-  in
+  let program = t.program in
   let next_id = read () in
   let bytes_used = read () in
   let alloc_cursor = read () in
@@ -708,13 +676,28 @@ let load t read =
         (from, slot, tgt))
   in
   if live_links <> n_links then failwith "Code_cache.load: live-link count mismatch";
-  let entry_seen = Int_tbl.create (max 16 (2 * n_live)) in
+  (* Rebuild the dispatch array off to the side: every claim must be a
+     block start (entries are, by [Region.of_spec]) that no other live
+     claim holds, and an aux binding must name a live region that lists
+     the address among its aux entries. *)
+  let dispatch = Array.make (Array.length t.dispatch) None in
+  let claim a r what =
+    let id = Program.block_id program a in
+    if id < 0 then failwith (Printf.sprintf "Code_cache.load: %s is not a block start" what);
+    match dispatch.(id) with
+    | Some _ -> failwith (Printf.sprintf "Code_cache.load: %s collides with another claim" what)
+    | None -> dispatch.(id) <- Some r
+  in
+  List.iter (fun (r : Region.t) -> claim r.Region.entry r "live entry") live;
   List.iter
-    (fun (r : Region.t) ->
-      if Int_tbl.mem entry_seen r.Region.entry then
-        failwith "Code_cache.load: two live regions share an entry";
-      Int_tbl.replace entry_seen r.Region.entry ())
-    live;
+    (fun (a, (r : Region.t)) ->
+      if not (Addr.Set.mem a r.Region.aux_entries) then
+        failwith "Code_cache.load: aux binding not among its region's aux entries";
+      (match dispatch.(Program.block_id program r.Region.entry) with
+      | Some e when e == r -> ()
+      | Some _ | None -> failwith "Code_cache.load: aux binding to a region that is not live");
+      claim a r "aux entry")
+    aux;
   (* Everything decoded and cross-checked: commit. *)
   t.next_id <- next_id;
   t.bytes_used <- bytes_used;
@@ -731,24 +714,11 @@ let load t read =
   t.links_created <- links_created;
   t.link_severs <- link_severs;
   t.live_links <- live_links;
-  Int_tbl.reset t.by_entry;
-  Int_tbl.reset t.by_aux_entry;
   Int_tbl.reset t.evicted_entries;
   Int_tbl.reset t.incoming_links;
   Int_tbl.reset t.slot_links;
-  if Array.length t.dispatch > 0 then Array.fill t.dispatch 0 (Array.length t.dispatch) None;
-  List.iter
-    (fun (r : Region.t) ->
-      Int_tbl.replace t.by_entry r.Region.entry r;
-      let id = Program.block_id program r.Region.entry in
-      if id >= 0 then t.dispatch.(id) <- Some r)
-    live;
-  List.iter
-    (fun (a, (r : Region.t)) ->
-      Int_tbl.replace t.by_aux_entry a r;
-      let id = Program.block_id program a in
-      if id >= 0 then t.dispatch.(id) <- Some r)
-    aux;
+  Array.blit dispatch 0 t.dispatch 0 (Array.length dispatch);
+  t.n_live <- n_live;
   let q = Queue.create () in
   List.iter (fun r -> Queue.add r q) fifo_regions;
   t.fifo <- q;

@@ -1,5 +1,10 @@
 (** The code cache: installed regions, indexed by entry address.
 
+    The index is one array over the program's dense block ids: each slot
+    holds the live region claiming that block as its entry or as an aux
+    entry.  {!dispatch}, {!find}, {!mem} and {!is_live} all read it, and a
+    region is live exactly when its entry slot holds it.
+
     As in the paper's framework (Section 2.3) the cache is unbounded by
     default.  A capacity (under the {!Region.cache_bytes} cost model) can
     be set for the bounded-cache ablation, with either of two overflow
@@ -36,31 +41,27 @@ val create :
   ?blacklist_base_cooldown:int ->
   ?blacklist_max_shift:int ->
   ?telemetry:Regionsel_telemetry.Telemetry.sink ->
-  ?program:Program.t ->
+  program:Program.t ->
   unit ->
   t
-(** [create ()] is unbounded; pass [capacity_bytes] to bound it.  Pass
-    [program] to enable the flat dispatch array behind {!dispatch} (and the
-    O(1) fast path of {!mem}).  Pass [telemetry] to emit lifecycle events
+(** [create ~program ()] is an unbounded cache for regions of [program],
+    which sizes the dispatch array; pass [capacity_bytes] to bound it.
+    Pass [telemetry] to emit lifecycle events
     (install, evict/flush, invalidate, link patch/sever, blacklist
     add/expire) stamped with the {!set_now} step; the default sink is a
     no-op and the events are pure observation — no cache decision ever
     depends on the sink. *)
 
 val find : t -> Addr.t -> Region.t option
-(** The live region whose {e entry} is the given address, if any.  Regions
-    are single-entry: an address inside a region's body is not a hit. *)
-
-val find_live : t -> Addr.t -> Region.t
-(** Option-free {!find} for callers without a block id at hand.
-    @raise Not_found when no live region has that entry. *)
+(** The live region whose {e entry} (or an aux entry) is the given address,
+    if any: {!dispatch} on the address's block id.  An address inside a
+    region's body is not a hit. *)
 
 val dispatch : t -> int -> Region.t option
 (** [dispatch t block_id] is the live region claiming that block as its
     entry (or an aux entry) — the simulator's per-transition probe: a
     single flat-array read, no hash table.  Returns [None] for negative
-    ids ([Program.block_id] of a non-start address) and on caches created
-    without [~program]. *)
+    ids ([Program.block_id] of a non-start address). *)
 
 val mem : t -> Addr.t -> bool
 
@@ -85,7 +86,8 @@ val link_severs : t -> int
     id was reclaimed by a new install. *)
 
 val is_live : t -> Region.t -> bool
-(** Whether this exact region (physical identity) is still dispatchable. *)
+(** Whether this exact region (physical identity) is live: its entry's
+    dispatch slot holds it. *)
 
 val install : t -> Region.spec -> (Region.t, reject) result
 (** Install a region, assigning it the next id and selection sequence
@@ -101,8 +103,8 @@ val install_exn : t -> Region.spec -> Region.t
 
 val invalidate_range : t -> lo:Addr.t -> hi:Addr.t -> Region.t list
 (** Retire every live region one of whose constituent blocks intersects
-    the address range [[lo, hi]] (a self-modifying-code write), including
-    their aux-entry index slots, and blacklist each retired entry.  Returns
+    the address range [[lo, hi]] (a self-modifying-code write), clearing
+    their entry and aux-entry dispatch slots, and blacklist each retired entry.  Returns
     the retired regions in selection order. *)
 
 val shock : t -> bytes:int -> Region.t list
@@ -205,7 +207,8 @@ val region_by_id : t -> int -> Region.t option
 
 val save : t -> (int -> unit) -> unit
 (** Serialize every region ever created (live and retired), the FIFO with
-    its tombstones, the aux-entry index, the evicted-entry set, the live
+    its tombstones, the aux-entry bindings (read off the dispatch array in
+    address order), the evicted-entry set, the live
     link graph and all counters — everything except the blacklist, which
     has its own section (see {!save_blacklist}) so it can degrade
     independently. *)
@@ -214,8 +217,10 @@ val load : t -> (unit -> int) -> unit
 (** Restore a {!save} stream into a freshly created cache over the same
     program.  Decode-then-commit: the stream is fully parsed and
     cross-validated before the first mutation, so on [Failure] /
-    [Invalid_argument] the cache is untouched.  Emits no telemetry and
-    fires no auditor. *)
+    [Invalid_argument] the cache is untouched.  An aux-entry binding fails
+    the load unless it is a block start listed among the aux entries of a
+    live region, and no two live claims (entries or aux entries) may share
+    a block.  Emits no telemetry and fires no auditor. *)
 
 val save_blacklist : t -> (int -> unit) -> unit
 (** Serialize the blacklist (per-entry failure counts, backoff deadlines)
@@ -253,14 +258,9 @@ val fifo_tombstones : t -> int
     so [fifo_length t - fifo_tombstones t = n_regions t] always, and
     tombstones never exceed [max 8 (n_regions t)] between operations. *)
 
-val iter_entries : t -> (Addr.t -> Region.t -> unit) -> unit
-(** Iterate the live entry index (order unspecified). *)
-
-val iter_aux_entries : t -> (Addr.t -> Region.t -> unit) -> unit
-(** Iterate the live aux-entry index (order unspecified). *)
-
 val unsafe_corrupt_for_tests : t -> bool
-(** Deliberately desynchronize the indices (drop one live region from the
-    entry index, leaving its dispatch slot in place) so tests can prove the
-    sanitizer fires.  [false] if the cache had no live region to corrupt.
+(** Deliberately desynchronize the cache (clear one live region's entry
+    slot, leaving its FIFO element, its aux slots and the live count in
+    place) so tests can prove the sanitizer fires.  [false] if the cache
+    had no live region to corrupt.
     Never call this outside a test or the fuzz driver's self-test mode. *)

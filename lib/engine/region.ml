@@ -68,8 +68,8 @@ type t = {
   hot_succ_addr : int array;  (* node id -> first internal successor address, -1 if none *)
   hot_succ_node : int array;  (* node id -> that successor's node id *)
   node_by_addr : Flat_tbl.t;  (* block start address -> node id *)
-  node_of_block : int array;  (* Program block_id -> node id, -1 elsewhere; [||] without program *)
-  link_slots : t option array;  (* Program block_id -> linked exit target; [||] without program *)
+  node_of_block : int array;  (* Program block_id -> node id, -1 elsewhere *)
+  link_slots : t option array;  (* Program block_id -> linked exit target *)
   copied_insts : int;
   n_stubs : int;
   spans_cycle : bool;
@@ -105,7 +105,7 @@ let count_stubs ~edge_index nodes =
   in
   List.fold_left (fun acc b -> acc + stub_count b) 0 nodes
 
-let of_spec ~id ~selected_at ?program spec =
+let of_spec ~id ~selected_at ~program spec =
   (* Distinct nodes, first occurrence wins (LEI's cyclic paths may revisit). *)
   let seen = Flat_tbl.create (List.length spec.nodes * 2) in
   let nodes =
@@ -113,6 +113,8 @@ let of_spec ~id ~selected_at ?program spec =
       (fun (b : Block.t) ->
         if Flat_tbl.mem seen b.Block.start then false
         else begin
+          if not (Program.is_block_start program b.Block.start) then
+            invalid_arg "Region.of_spec: node is not a block of the program";
           Flat_tbl.set seen b.Block.start 0;
           true
         end)
@@ -185,19 +187,12 @@ let of_spec ~id ~selected_at ?program spec =
         hot_succ_node.(s) <- d
       end)
     spec.edges;
-  let node_of_block, link_slots =
-    match program with
-    | None -> ([||], [||])
-    | Some p ->
-      let nb = max 1 (Program.n_blocks p) in
-      let translate = Array.make nb (-1) in
-      Array.iteri
-        (fun i (b : Block.t) ->
-          let bid = Program.block_id p b.Block.start in
-          if bid >= 0 then translate.(bid) <- i)
-        node_blocks;
-      (translate, Array.make nb None)
-  in
+  let nb = max 1 (Program.n_blocks program) in
+  let node_of_block = Array.make nb (-1) in
+  Array.iteri
+    (fun i (b : Block.t) -> node_of_block.(Program.block_id program b.Block.start) <- i)
+    node_blocks;
+  let link_slots = Array.make nb None in
   {
     id;
     entry = spec.entry;

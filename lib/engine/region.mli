@@ -94,10 +94,10 @@ type t = private {
   node_by_addr : Flat_tbl.t;  (** Block start address -> node id. *)
   node_of_block : int array;
       (** [Program.block_id] -> node id ([-1] for blocks outside the
-          region); [[||]] when built without [~program]. *)
+          region). *)
   link_slots : t option array;
       (** [Program.block_id] -> region this region's exit to that block is
-          linked to (the patched exit stub); [[||]] without [~program].
+          linked to (the patched exit stub).
           Invariant, maintained by [Code_cache]: a link never outlives its
           target region, and always agrees with the dispatch array. *)
   copied_insts : int;
@@ -118,17 +118,18 @@ type t = private {
           installed. *)
 }
 
-val of_spec : id:int -> selected_at:int -> ?program:Program.t -> spec -> t
-(** Freeze a spec into an installed region, compiling the intra-region
-    automaton and computing its exit-stub count: one stub per static
-    successor direction (taken and fall-through of conditionals, targets of
-    jumps and calls, the continuation of fall-through blocks) not covered
-    by an internal edge, and always one stub per indirect branch or return
-    (the mispredict path).  Pass [program] to enable the dense
-    [node_of_block] translation and the [link_slots] the simulator steps
-    through.
-    @raise Invalid_argument if the spec is malformed (entry not a node, or
-    an edge endpoint that is not a node). *)
+val of_spec : id:int -> selected_at:int -> program:Program.t -> spec -> t
+(** Freeze a spec over [program] into an installed region, compiling the
+    intra-region automaton — including the dense [node_of_block]
+    translation and the [link_slots] the simulator steps through, both
+    indexed by [program]'s block ids — and computing its exit-stub count:
+    one stub per static successor direction (taken and fall-through of
+    conditionals, targets of jumps and calls, the continuation of
+    fall-through blocks) not covered by an internal edge, and always one
+    stub per indirect branch or return (the mispredict path).
+    @raise Invalid_argument if the spec is malformed (a node that is not a
+    block of [program], entry not a node, or an edge endpoint or aux entry
+    that is not a node). *)
 
 val dummy : t
 (** A zero-node sentinel for "no region", compared by physical equality.
@@ -196,7 +197,7 @@ val block_cache_addr : t -> Addr.t -> int option
     before installation). *)
 
 val n_link_slots : t -> int
-(** Length of [link_slots] (0 when built without [~program]). *)
+(** Length of [link_slots]: the program's block count (0 for {!dummy}). *)
 
 val link_target : t -> int -> t option
 (** The region this region's exit to the given block id is linked to

@@ -586,11 +586,12 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
     | Some tel ->
       let step = stats.Stats.steps in
       let live = Int_tbl.create 64 in
-      Code_cache.iter_entries cache (fun _ r ->
+      List.iter
+        (fun (r : Region.t) ->
           Int_tbl.replace live r.Region.id ();
           if not (Telemetry.span_open tel ~id:r.Region.id) then
-            Telemetry.install (Some tel) ~step ~id:r.Region.id
-              ~n_nodes:r.Region.n_nodes);
+            Telemetry.install (Some tel) ~step ~id:r.Region.id ~n_nodes:r.Region.n_nodes)
+        (Code_cache.regions cache);
       Telemetry.reconcile_spans tel ~step ~live:(fun id -> Int_tbl.mem live id)));
   let has_checkpoint = Option.is_some checkpoint in
   let checkpoint_done = ref false in

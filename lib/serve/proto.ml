@@ -48,6 +48,7 @@ type reject_code =
   | Budget_saturated
   | Busy_tenant  (** The tenant is already attached to a live connection. *)
   | Corrupt_events  (** An Events batch failed its checksum or validation. *)
+  | Connections_saturated  (** The accepted descriptor is past [select]'s limit. *)
 
 type msg =
   | Hello of hello
@@ -67,11 +68,12 @@ let reject_code_to_string = function
   | Budget_saturated -> "budget-saturated"
   | Busy_tenant -> "busy-tenant"
   | Corrupt_events -> "corrupt-events"
+  | Connections_saturated -> "connections-saturated"
 
 let reject_codes =
   [|
     Bad_frame; Unknown_bench; Unknown_policy; Tenants_saturated; Budget_saturated;
-    Busy_tenant; Corrupt_events;
+    Busy_tenant; Corrupt_events; Connections_saturated;
   |]
 
 let code_of_reject c =

@@ -51,6 +51,10 @@ type reject_code =
   | Budget_saturated  (** Admission: shared cache budget saturated. *)
   | Busy_tenant  (** The tenant is already attached to a live connection. *)
   | Corrupt_events  (** An Events batch failed checksum/validation. *)
+  | Connections_saturated
+      (** The daemon accepted the connection on a descriptor [select]
+          cannot watch (at or past FD_SETSIZE); it is closed at once.
+          Codes are numbered by position, so new ones go last. *)
 
 val reject_code_to_string : reject_code -> string
 

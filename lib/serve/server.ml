@@ -524,8 +524,25 @@ let any_backlog t =
 
 (* --- The event loop --------------------------------------------------- *)
 
+(* glibc's FD_SETSIZE: [Unix.select] fails with EINVAL on any descriptor
+   at or past it, which would take the whole loop down. *)
+let fd_setsize = 1024
+
 let accept_ready t =
   match Unix.accept ~cloexec:true t.listen_fd with
+  | fd, _ when (Obj.magic fd : int) >= fd_setsize ->
+    (* On Unix a [file_descr] is its int.  Too high to watch: answer with
+       a best-effort typed Reject and close it, never entering the select
+       sets. *)
+    Unix.set_nonblock fd;
+    let frame =
+      Proto.encode
+        (Proto.Reject
+           { code = Proto.Connections_saturated; detail = "too many open connections" })
+    in
+    (try ignore (Unix.single_write fd frame 0 (Bytes.length frame)) with Unix.Unix_error _ -> ());
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    log t "connection rejected: descriptor past FD_SETSIZE (%d)" fd_setsize
   | fd, _ ->
     Unix.set_nonblock fd;
     t.conns <-

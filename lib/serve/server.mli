@@ -9,7 +9,9 @@
     metrics recorders sampled at every barrier.
 
     Admission control answers Hello with a typed Reject when tenant slots
-    or the shared cache budget saturate.  Backpressure bounds each
+    or the shared cache budget saturate.  A connection accepted on a
+    descriptor at or past FD_SETSIZE, which [select] cannot watch, gets a
+    [Connections_saturated] Reject and is closed at once.  Backpressure bounds each
     connection's ingest backlog to [ingest_max] unconsumed events by
     removing the socket from the read set — the client's writes block in
     the kernel; the daemon never buffers unboundedly — resuming below

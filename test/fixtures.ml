@@ -66,6 +66,15 @@ let simple_loop ?(trip = 10_000) ?(body_size = 5) () =
   Builder.block b ~size:1 Builder.Halt;
   Builder.compile b ~name:"simple_loop" ~entry:"main"
 
+(* A program with a one-instruction block at every address below 2048,
+   so any address a hand-built region names is a block start.  The code
+   cache and [Region.of_spec] index their arrays by the program's block
+   ids; unit tests that assemble regions from loose blocks use this one. *)
+let loose_program =
+  let open Regionsel_isa in
+  Program.of_blocks_exn ~entry:0
+    (List.init 2048 (fun start -> Block.make ~start ~size:1 ~term:Terminator.Return))
+
 let run ?params ?(seed = 7L) ?(max_steps = 200_000) policy image =
   Simulator.run ?params ~seed ~policy ~max_steps image
 

@@ -76,9 +76,9 @@ let fuzz_matrix_clean () =
       | None, n -> check_true "cases ran" (n > 0))
     [ 1; 2 ]
 
-(* [audit_cache] directly: a healthy post-run cache passes, and dropping
-   one live region from the entry index (leaving its dispatch slot in
-   place) is convicted by the dispatch-liveness rule. *)
+(* [audit_cache] directly: a healthy post-run cache passes, and clearing
+   one live region's entry slot (leaving its FIFO element and the live
+   count in place) is convicted by the live-count rule. *)
 let audit_convicts_desynced_index () =
   let module Code_cache = Regionsel_engine.Code_cache in
   let module Context = Regionsel_engine.Context in
@@ -94,7 +94,7 @@ let audit_convicts_desynced_index () =
   | () -> Alcotest.fail "audit passed a desynchronized cache"
   | exception Check.Check_violation v ->
     check_int "violation carries the audit step" 42 v.Check.step;
-    check_true "convicted by the dispatch-liveness rule" (v.Check.rule = "dispatch-live")
+    Alcotest.(check string) "convicted by the live-count rule" "live-count" v.Check.rule
 
 (* The reference region rule on a hand-built cache: region [r] is A -> B
    -> C with a back edge C -> A, region [r2] is D alone.  A stay needs a

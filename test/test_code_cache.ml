@@ -6,6 +6,7 @@ open Regionsel_isa
 module Region = Regionsel_engine.Region
 module Code_cache = Regionsel_engine.Code_cache
 module Params = Regionsel_engine.Params
+module Check = Regionsel_check.Check
 open Fixtures
 
 let mk start size term = Block.make ~start ~size ~term
@@ -17,8 +18,8 @@ let spec_at ?(size = 10) start =
 let region_cost = (10 * Region.inst_bytes) + Region.stub_bytes
 
 (* A cache whose blacklist never bites, for tests about other machinery. *)
-let plain_cache ?capacity_bytes ?eviction ?program () =
-  Code_cache.create ?capacity_bytes ?eviction ~blacklist_base_cooldown:0 ?program ()
+let plain_cache ?capacity_bytes ?eviction ?(program = loose_program) () =
+  Code_cache.create ?capacity_bytes ?eviction ~blacklist_base_cooldown:0 ~program ()
 
 let entry_of (r : Region.t) = r.Region.entry
 
@@ -136,7 +137,7 @@ let invalidate_range_is_span_based () =
 (* Blacklisting *)
 
 let blacklist_backoff_and_expiry () =
-  let cache = Code_cache.create ~blacklist_base_cooldown:100 ~blacklist_max_shift:2 () in
+  let cache = Code_cache.create ~program:loose_program ~blacklist_base_cooldown:100 ~blacklist_max_shift:2 () in
   Code_cache.set_now cache 1_000;
   ignore (Code_cache.invalidate_range cache ~lo:0 ~hi:0) (* nothing live: no fail *);
   ignore (Code_cache.install_exn cache (spec_at 0));
@@ -162,7 +163,7 @@ let blacklist_backoff_and_expiry () =
   check_int "backoff capped" (3_000 + 400) (Code_cache.blacklisted_until cache 0)
 
 let translation_failures_fail_next_installs () =
-  let cache = Code_cache.create ~blacklist_base_cooldown:500 () in
+  let cache = Code_cache.create ~program:loose_program ~blacklist_base_cooldown:500 () in
   Code_cache.arm_translation_failures cache ~window:50;
   check_true "first armed install fails"
     (Code_cache.install cache (spec_at 0) = Error Code_cache.Translation_failed);
@@ -214,7 +215,7 @@ let dispatch_tracks_lifecycle () =
   check_true "flush retired the region" (not (Code_cache.is_live cache r2))
 
 let dispatch_matches_find () =
-  (* The flat array and the hash index must agree on every block. *)
+  (* [find] on an address is [dispatch] on its block id, on every block. *)
   let blocks = List.init 8 (fun i -> mk (i * 16) 10 Terminator.Return) in
   let program = Program.of_blocks_exn ~entry:0 blocks in
   let cache = plain_cache ~program ~capacity_bytes:(3 * region_cost) ~eviction:Params.Evict_oldest () in
@@ -263,7 +264,8 @@ let invalidation_severs_links () =
 let eviction_severs_links () =
   (* r1 -> r0; evicting r0 (the FIFO-oldest) must unpatch r1's slot. *)
   let program =
-    Program.of_blocks_exn ~entry:0 [ mk 0 10 Terminator.Return; mk 16 10 Terminator.Return ]
+    Program.of_blocks_exn ~entry:0
+      [ mk 0 10 Terminator.Return; mk 16 10 Terminator.Return; mk 32 10 Terminator.Return ]
   in
   let cache =
     plain_cache ~program ~capacity_bytes:(2 * region_cost) ~eviction:Params.Evict_oldest ()
@@ -326,7 +328,8 @@ let fifo_tombstones_bounded () =
   let cache = plain_cache () in
   let peak = ref 0 in
   for round = 0 to 199 do
-    let base = round * 64 in
+    (* Rounds reuse addresses: the fixture program spans 2048 of them. *)
+    let base = round mod 32 * 64 in
     for i = 0 to 3 do
       ignore (Code_cache.install_exn cache (spec_at (base + (i * 16))))
     done;
@@ -479,6 +482,226 @@ let clearing_quota_lifts_the_bound () =
        false
      with Invalid_argument _ -> true)
 
+(* Property: the cache against a naive model.  Random sequences of
+   installs (with aux entries), invalidations, shocks, flushes, quota
+   changes and links run over a small program; after every operation the
+   sanitizer's audit must pass and [find] / [mem] / [regions] /
+   [n_regions] must equal a live list that records, per region, the
+   addresses it claimed at install time.  A final save/load round trip
+   must reproduce the saved stream. *)
+
+type op =
+  | Install of int * int list * int list  (* entry, other nodes, aux entries (block indices) *)
+  | Invalidate of int * int
+  | Shock of int
+  | Flush
+  | Quota of int option
+  | Link of int * int  (* nth live region, slot block index *)
+
+let model_blocks = Array.init 12 (fun i -> mk (i * 16) (1 + (i mod 4)) Terminator.Return)
+let model_program = Program.of_blocks_exn ~entry:0 (Array.to_list model_blocks)
+
+let string_of_op = function
+  | Install (e, others, aux) ->
+    let ints l = String.concat ";" (List.map string_of_int l) in
+    Printf.sprintf "install %d [%s] aux [%s]" e (ints others) (ints aux)
+  | Invalidate (lo, hi) -> Printf.sprintf "invalidate %d..%d" lo hi
+  | Shock b -> Printf.sprintf "shock %d" b
+  | Flush -> "flush"
+  | Quota None -> "quota none"
+  | Quota (Some q) -> Printf.sprintf "quota %d" q
+  | Link (k, slot) -> Printf.sprintf "link %d %d" k slot
+
+let arb_schedule =
+  let open QCheck.Gen in
+  let block = int_bound 11 in
+  let op =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun e others aux -> Install (e, others, aux))
+            block (list_size (int_bound 3) block) (list_size (int_bound 3) block) );
+        (2, map2 (fun lo len -> Invalidate (lo * 16, (lo * 16) + len)) block (int_bound 40));
+        (1, map (fun b -> Shock b) (int_bound 200));
+        (1, return Flush);
+        (1, map (fun q -> Quota q) (opt ~ratio:0.6 (int_range 40 400)));
+        (3, map2 (fun k slot -> Link (k, slot)) (int_bound 8) block);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (cap, evict_oldest, ops) ->
+      Printf.sprintf "capacity %s, %s: %s"
+        (match cap with Some c -> string_of_int c | None -> "none")
+        (if evict_oldest then "evict-oldest" else "flush-all")
+        (String.concat ", " (List.map string_of_op ops)))
+    (triple (opt (int_range 60 400)) bool (list_size (int_bound 40) op))
+
+let model_spec (e, others, aux) =
+  let addr i = model_blocks.(i).Block.start in
+  let nodes = List.map (fun i -> model_blocks.(i)) (e :: others) in
+  {
+    Region.entry = addr e;
+    nodes;
+    edges = [];
+    copied_insts = List.fold_left (fun acc (b : Block.t) -> acc + b.Block.size) 0 nodes;
+    kind = Region.Method;
+    aux_entries = List.map addr (List.filter (fun i -> i = e || List.mem i others) aux);
+    layout_hint = [];
+  }
+
+let cache_matches_model =
+  QCheck.Test.make ~name:"cache matches a naive live-list model" ~count:300 arb_schedule
+    (fun (capacity_bytes, evict_oldest, ops) ->
+      let program = model_program in
+      let eviction = if evict_oldest then Params.Evict_oldest else Params.Flush_all in
+      let cache = plain_cache ?capacity_bytes ~eviction ~program () in
+      (* (region, claimed addresses) in selection order. *)
+      let live = ref [] in
+      let quota = ref None in
+      let expect what ok = if not ok then QCheck.Test.fail_reportf "%s" what in
+      let claimed a = List.exists (fun (_, claims) -> List.mem a claims) !live in
+      let bytes () = List.fold_left (fun acc (r, _) -> acc + Region.cache_bytes r) 0 !live in
+      let retire_oldest () =
+        match !live with
+        | (r, _) :: rest ->
+          live := rest;
+          [ r ]
+        | [] -> []
+      in
+      let retire_all () =
+        let rs = List.map fst !live in
+        live := [];
+        rs
+      in
+      let expect_retired what expected got =
+        expect what
+          (List.length expected = List.length got && List.for_all2 ( == ) expected got)
+      in
+      let apply = function
+        | Install (e, others, aux) ->
+          let spec = model_spec (e, others, aux) in
+          let cost = Region.cache_bytes (Region.of_spec ~id:0 ~selected_at:0 ~program spec) in
+          let expected =
+            if claimed spec.Region.entry then Error Code_cache.Duplicate_entry
+            else
+              match !quota with
+              | Some q when cost > q -> Error Code_cache.Quota_exceeded
+              | Some _ | None -> Ok ()
+          in
+          (match expected with
+          | Ok () ->
+            let cap =
+              match capacity_bytes, !quota with
+              | Some c, Some q -> Some (min c q)
+              | (Some _ as c), None -> c
+              | None, q -> q
+            in
+            (match cap with
+            | Some c ->
+              while bytes () + cost > c && !live <> [] do
+                ignore (if evict_oldest then retire_oldest () else retire_all ())
+              done
+            | None -> ())
+          | Error _ -> ());
+          (match Code_cache.install cache spec, expected with
+          | Ok r, Ok () ->
+            let claims =
+              List.fold_left
+                (fun claims a ->
+                  if List.mem a claims || claimed a then claims else claims @ [ a ])
+                [ spec.Region.entry ]
+                (List.sort_uniq compare spec.Region.aux_entries)
+            in
+            live := !live @ [ (r, claims) ]
+          | Error got, Error want -> expect "install rejection" (got = want)
+          | Ok _, Error _ -> expect "install should have been rejected" false
+          | Error _, Ok () -> expect "install should have been admitted" false)
+        | Invalidate (lo, hi) ->
+          let overlaps (r, _) =
+            List.exists
+              (fun (b : Block.t) -> b.Block.start <= hi && Block.last b >= lo)
+              (Region.nodes r)
+          in
+          let hit = List.filter overlaps !live in
+          live := List.filter (fun x -> not (overlaps x)) !live;
+          expect_retired "invalidated regions" (List.map fst hit)
+            (Code_cache.invalidate_range cache ~lo ~hi)
+        | Shock b ->
+          let expected =
+            if not evict_oldest then retire_all ()
+            else begin
+              let freed = ref 0 and rs = ref [] in
+              while !freed < b && !live <> [] do
+                let r = List.hd (retire_oldest ()) in
+                freed := !freed + Region.cache_bytes r;
+                rs := r :: !rs
+              done;
+              List.rev !rs
+            end
+          in
+          expect_retired "shock victims" expected (Code_cache.shock cache ~bytes:b)
+        | Flush ->
+          let expected = retire_all () in
+          expect_retired "flushed regions" expected (Code_cache.flush_all cache)
+        | Quota q ->
+          quota := q;
+          let expected = ref [] in
+          (match q with
+          | Some q ->
+            while bytes () > q && !live <> [] do
+              expected := !expected @ retire_oldest ()
+            done
+          | None -> ());
+          expect_retired "quota evictions" !expected (Code_cache.set_quota cache q)
+        | Link (k, slot) -> (
+          match !live with
+          | [] -> ()
+          | _ ->
+            let from = fst (List.nth !live (k mod List.length !live)) in
+            let slot = Program.block_id program model_blocks.(slot).Block.start in
+            match Code_cache.dispatch cache slot with
+            | Some target -> Code_cache.add_link cache ~from ~slot ~target
+            | None -> ())
+      in
+      List.iteri
+        (fun step op ->
+          apply op;
+          (try Check.audit_cache ~program cache ~step with
+          | Check.Check_violation v ->
+            QCheck.Test.fail_reportf "after %s: %s" (string_of_op op)
+              (Check.violation_to_string v));
+          Array.iter
+            (fun (b : Block.t) ->
+              let a = b.Block.start in
+              let want = List.find_opt (fun (_, claims) -> List.mem a claims) !live in
+              (match Code_cache.find cache a, want with
+              | Some r, Some (r', _) -> expect "find" (r == r')
+              | None, None -> ()
+              | Some _, None | None, Some _ -> expect "find" false);
+              expect "mem" (Code_cache.mem cache a = (want <> None)))
+            model_blocks;
+          expect_retired "regions" (List.map fst !live) (Code_cache.regions cache);
+          expect "n_regions" (Code_cache.n_regions cache = List.length !live))
+        ops;
+      let dump c =
+        let out = ref [] in
+        Code_cache.save c (fun v -> out := v :: !out);
+        List.rev !out
+      in
+      let saved = dump cache in
+      let restored = Code_cache.create ~program () in
+      let rest = ref saved in
+      Code_cache.load restored (fun () ->
+          match !rest with
+          | v :: tl ->
+            rest := tl;
+            v
+          | [] -> failwith "short stream");
+      Check.audit_cache ~program restored ~step:(List.length ops);
+      expect "save/load round trip" (dump restored = saved);
+      true)
+
 let suite =
   [
     case "flush_all returns victims" flush_all_returns_victims;
@@ -505,4 +728,5 @@ let suite =
     case "quota bounds admission" quota_bounds_admission;
     case "oversized spec is a typed reject" oversized_spec_is_typed_reject;
     case "clearing quota lifts the bound" clearing_quota_lifts_the_bound;
+    QCheck_alcotest.to_alcotest cache_matches_model;
   ]

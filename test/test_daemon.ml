@@ -15,7 +15,9 @@
      deadlock); a control peer that never reads its replies stalls only
      itself (queued sends, not blocking writes); an abruptly dying
      client (SIGPIPE on the Result write) never kills the daemon, and a
-     daemon closing mid-stream never SIGPIPE-kills the client. *)
+     daemon closing mid-stream never SIGPIPE-kills the client; a flood
+     of idle connections past FD_SETSIZE gets typed Rejects instead of
+     killing the daemon. *)
 
 module Spec = Regionsel_workload.Spec
 module Suite = Regionsel_workload.Suite
@@ -587,6 +589,46 @@ let dying_client_never_kills_the_daemon () =
       | Ok "pong" -> ()
       | _ -> Alcotest.fail "daemon died or misanswered after client deaths")
 
+(* Regression: idle connections that never send Hello used to push the
+   daemon's descriptors past FD_SETSIZE (1024), where [select] fails with
+   EINVAL and the daemon exited, taking every tenant down.  The overflow
+   now gets a typed Reject and is closed; the daemon keeps serving. *)
+let idle_connection_flood_is_rejected_not_fatal () =
+  with_daemon (fun ~dir:_ ~socket_path ->
+      let flood = ref [] in
+      let close_flood () =
+        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !flood;
+        flood := []
+      in
+      Fun.protect ~finally:close_flood (fun () ->
+          (* The daemon holds a few descriptors of its own, so 1100 idle
+             connections take its accepts past 1024. *)
+          for _ = 1 to 1100 do
+            let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            flood := fd :: !flood;
+            Unix.connect fd (Unix.ADDR_UNIX socket_path)
+          done;
+          let last = List.hd !flood in
+          Unix.setsockopt_float last Unix.SO_RCVTIMEO 10.0;
+          (match Proto.read_msg last with
+          | Some (Proto.Reject { code = Proto.Connections_saturated; _ }) -> ()
+          | Some _ -> Alcotest.fail "overflow connection got the wrong frame"
+          | None -> Alcotest.fail "overflow connection closed without a Reject"
+          | exception Unix.Unix_error (e, _, _) ->
+            Alcotest.failf "no Reject on the overflow connection: %s" (Unix.error_message e));
+          close_flood ();
+          (* Until the daemon has reaped the closed flood, a new connection
+             may still land past the limit and be rejected: retry. *)
+          check_true "daemon answers ping after the flood"
+            (eventually (fun () ->
+                 match Client.ctrl ~socket_path "ping" with
+                 | Ok "pong" -> true
+                 | Ok _ | Error _ -> false));
+          match stream ~socket_path ~tenant:"alpha" () with
+          | Client.Finished json ->
+            Alcotest.(check string) "daemon result = solo replay" (solo_json ()) json
+          | Client.Truncated _ -> Alcotest.fail "unexpected truncation"))
+
 let control_surface_serves_live_exports () =
   with_daemon (fun ~dir:_ ~socket_path ->
       (match stream ~socket_path ~tenant:"alpha" () with
@@ -626,4 +668,5 @@ let suite =
     case "daemon close mid-stream surfaces as an error" daemon_close_mid_stream_surfaces_as_error;
     case "dying client never kills the daemon" dying_client_never_kills_the_daemon;
     case "control surface serves live exports" control_surface_serves_live_exports;
+    case "idle connection flood is rejected, not fatal" idle_connection_flood_is_rejected_not_fatal;
   ]

@@ -103,7 +103,7 @@ let spec_of_path_no_cycle () =
   check_int "only the two path edges" 2 (List.length spec.Region.edges)
 
 let region_cyclic_detection () =
-  let r = Region.of_spec ~id:0 ~selected_at:0 (Region.spec_of_path ~kind:Region.Trace (trace_path ())) in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program:loose_program (Region.spec_of_path ~kind:Region.Trace (trace_path ())) in
   check_true "spans a cycle" r.Region.spans_cycle;
   check_true "has the internal edge" (Region.has_edge r ~src:5 ~dst:0);
   check_true "no phantom edge" (not (Region.has_edge r ~src:0 ~dst:5))
@@ -112,14 +112,14 @@ let region_stub_counts () =
   (* b0: Cond, taken side (100) leaves, fall side (3) internal -> 1 stub.
      b1: Fallthrough internal -> 0 stubs.
      b2: Cond, taken side (0) internal, fall side (7) leaves -> 1 stub. *)
-  let r = Region.of_spec ~id:0 ~selected_at:0 (Region.spec_of_path ~kind:Region.Trace (trace_path ())) in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program:loose_program (Region.spec_of_path ~kind:Region.Trace (trace_path ())) in
   check_int "two stubs" 2 r.Region.n_stubs
 
 let region_stub_indirect () =
   let b0 = mk 0 2 Terminator.Fallthrough in
   let b1 = mk 2 2 Terminator.Return in
   let path = { Region.blocks = [ b0; b1 ]; final_next = Some 50 } in
-  let r = Region.of_spec ~id:0 ~selected_at:0 (Region.spec_of_path ~kind:Region.Trace path) in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program:loose_program (Region.spec_of_path ~kind:Region.Trace path) in
   (* Fallthrough internal; the return always needs its mispredict stub. *)
   check_int "return keeps one stub" 1 r.Region.n_stubs
 
@@ -128,7 +128,7 @@ let region_bad_spec () =
   check_true "edge endpoint must be a node"
     (try
        ignore
-         (Region.of_spec ~id:0 ~selected_at:0
+         (Region.of_spec ~id:0 ~selected_at:0 ~program:loose_program
             { Region.entry = 0; nodes = [ b0 ]; edges = [ 0, 99 ]; copied_insts = 2;
               kind = Region.Trace; aux_entries = []; layout_hint = [] });
        false
@@ -136,14 +136,14 @@ let region_bad_spec () =
   check_true "entry must be a node"
     (try
        ignore
-         (Region.of_spec ~id:0 ~selected_at:0
+         (Region.of_spec ~id:0 ~selected_at:0 ~program:loose_program
             { Region.entry = 9; nodes = [ b0 ]; edges = []; copied_insts = 2;
               kind = Region.Trace; aux_entries = []; layout_hint = [] });
        false
      with Invalid_argument _ -> true)
 
 let region_exit_log () =
-  let r = Region.of_spec ~id:0 ~selected_at:0 (Region.spec_of_path ~kind:Region.Trace (trace_path ())) in
+  let r = Region.of_spec ~id:0 ~selected_at:0 ~program:loose_program (Region.spec_of_path ~kind:Region.Trace (trace_path ())) in
   Region.record_exit r ~from:0 ~tgt:100;
   Region.record_exit r ~from:0 ~tgt:100;
   Region.record_exit r ~from:5 ~tgt:7;
@@ -156,7 +156,7 @@ let region_exit_log () =
 (* Code cache *)
 
 let cache_basics () =
-  let cache = Code_cache.create () in
+  let cache = Code_cache.create ~program:loose_program () in
   let spec = Region.spec_of_path ~kind:Region.Trace (trace_path ()) in
   let r = Code_cache.install_exn cache spec in
   check_int "region id assigned" 0 r.Region.id;
@@ -165,7 +165,7 @@ let cache_basics () =
   check_int "one region" 1 (Code_cache.n_regions cache)
 
 let cache_duplicate_rejected () =
-  let cache = Code_cache.create () in
+  let cache = Code_cache.create ~program:loose_program () in
   let spec = Region.spec_of_path ~kind:Region.Trace (trace_path ()) in
   ignore (Code_cache.install_exn cache spec);
   check_true "duplicate entry reported as typed rejection"
@@ -178,7 +178,7 @@ let cache_duplicate_rejected () =
      with Invalid_argument _ -> true)
 
 let cache_selection_order () =
-  let cache = Code_cache.create () in
+  let cache = Code_cache.create ~program:loose_program () in
   let spec1 = Region.spec_of_path ~kind:Region.Trace (trace_path ()) in
   let b = mk 100 2 Terminator.Halt in
   let spec2 =
@@ -199,7 +199,7 @@ let qcheck_stub_bound =
         List.init n (fun i -> mk (i * 3) 3 (if i = n - 1 then Terminator.Return else Terminator.Fallthrough))
       in
       let path = { Region.blocks; final_next = None } in
-      let r = Region.of_spec ~id:0 ~selected_at:0 (Region.spec_of_path ~kind:Region.Trace path) in
+      let r = Region.of_spec ~id:0 ~selected_at:0 ~program:loose_program (Region.spec_of_path ~kind:Region.Trace path) in
       r.Region.n_stubs <= 2 * n && r.Region.n_stubs >= 1)
 
 let suite =

@@ -86,6 +86,36 @@ let rsnp_snapshot () =
   pin "Persist.encode gcc/combined-lei at step 20000" "da593125be8a3ebdf2bd5befeacf900a"
     (Option.get !bytes)
 
+(* Method regions carry aux entries (eight are bound at step 15000), so
+   this snapshot pins the cache section's aux-entry list, which the cache
+   derives from its dispatch array on save. *)
+let rsnp_aux_entries () =
+  let policy = "jit-method" and seed = 1L in
+  let params = { Params.default with Params.faults = Params.fault_profile "mixed" } in
+  let snap = ref None in
+  ignore
+    (Simulator.run ~params ~seed
+       ~checkpoint:
+         ( 15_000,
+           fun internals ->
+             let cache = internals.Simulator.int_ctx.Context.cache in
+             let n_aux =
+               List.fold_left
+                 (fun n (r : Region.t) ->
+                   Regionsel_isa.Addr.Set.fold
+                     (fun a n ->
+                       match Code_cache.find cache a with Some r' when r' == r -> n + 1 | _ -> n)
+                     r.Region.aux_entries n)
+                 0 (Code_cache.regions cache)
+             in
+             snap := Some (n_aux, Persist.encode ~seed ~policy internals) )
+       ~policy:(Option.get (Policies.find policy))
+       ~max_steps:20_000 (image "gcc"));
+  let n_aux, bytes = Option.get !snap in
+  check_true "snapshot binds aux entries" (n_aux > 0);
+  pin "Persist.encode gcc/jit-method --faults mixed at step 15000" "fc3483869253a46d7f887125f44445da"
+    bytes
+
 let proto_frames () =
   pin "Proto Hello frame" "de60ecd795ae522e1cd58ec38c4e184f"
     (Proto.encode
@@ -108,5 +138,6 @@ let suite =
     case "REVL batch" revl_batch;
     case "compact traces" compact_traces;
     case "RSNP snapshot" rsnp_snapshot;
+    case "RSNP snapshot with aux entries" rsnp_aux_entries;
     case "daemon frames" proto_frames;
   ]

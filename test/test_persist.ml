@@ -403,6 +403,97 @@ let degraded_restore_still_finishes () =
   check_true "run completed past the snapshot point" (m.Run_metrics.steps > 11_000);
   check_true "re-warmed cache selected regions again" (m.Run_metrics.n_regions > 0)
 
+(* A CRC-valid snapshot whose cache section is forged: a cache built by
+   hand over figure2's program (method regions with aux entries, no links,
+   no retirements) is saved, [forged_tail] replaces the tail of its stream —
+   the aux-entry bindings, then the empty evicted-entry and link lists —
+   and the result is sealed into a real run's snapshot in place of the
+   run's own cache section. *)
+let forged_cache_snapshot ?forged_tail ~build ~tail () =
+  let forged_tail = Option.value forged_tail ~default:tail in
+  let image = figure2 ~iters:4_000 () in
+  let policy = "jit-method" and seed = 7L and params = Params.default in
+  let program = image.Image.program in
+  let donor = Code_cache.create ~program () in
+  build donor;
+  let stream = ref [] in
+  Code_cache.save donor (fun v -> stream := v :: !stream);
+  (* [!stream] is reversed: its first [List.length tail] ints are the tail. *)
+  let rev_prefix =
+    List.fold_left
+      (fun rest expected ->
+        match rest with
+        | v :: rest when v = expected -> rest
+        | _ -> Alcotest.fail "the cache stream does not end with the expected tail")
+      !stream (List.rev tail)
+  in
+  let forged = List.rev_append rev_prefix forged_tail in
+  let bytes = ref None in
+  let checkpoint =
+    ( 1,
+      fun (internals : Simulator.internals) ->
+        let int_sections =
+          List.map
+            (fun (sec : Simulator.section) ->
+              if sec.Simulator.sec_name = "cache" then
+                { sec with Simulator.sec_save = (fun emit -> List.iter emit forged) }
+              else sec)
+            internals.Simulator.int_sections
+        in
+        bytes := Some (Persist.encode ~seed ~policy { internals with Simulator.int_sections }) )
+  in
+  ignore
+    (Simulator.run ~params ~seed ~checkpoint ~policy:(policy_exn policy) ~max_steps:2 image
+      : Simulator.result);
+  decode_fresh (image, policy, seed, params, Option.get !bytes)
+
+(* Aux-entry bindings are validated on load: one that is not a block
+   start, or that collides with another region's claim, degrades the cache
+   section (and the post-restore audit in [decode_fresh] passes) instead
+   of restoring a cache the audit would convict. *)
+let forged_aux_binding_degrades_cache () =
+  let open Regionsel_isa in
+  let module Region = Regionsel_engine.Region in
+  (* Block starts of figure2's program; block 1 is two instructions long,
+     so [s.(1) + 1] is not a block start. *)
+  let program = (figure2 ~iters:4_000 ()).Image.program in
+  let s = Array.map (fun (b : Block.t) -> b.Block.start) (Program.blocks program) in
+  let install cache ~entry ~nodes ~aux =
+    let nodes = List.map (Program.block_of_id program) nodes in
+    ignore
+      (Code_cache.install_exn cache
+         {
+           Region.entry = s.(entry);
+           nodes;
+           edges = [];
+           copied_insts = List.fold_left (fun acc (b : Block.t) -> acc + b.Block.size) 0 nodes;
+           kind = Region.Method;
+           aux_entries = List.map (fun i -> s.(i)) aux;
+           layout_hint = [];
+         })
+  in
+  (* Region #0 at block 0, with block 1 as a bound aux entry. *)
+  let one cache = install cache ~entry:0 ~nodes:[ 0; 1 ] ~aux:[ 1 ] in
+  (* Region #0 owns block 1 as its entry; region #1 at block 0 lists block
+     1 as an aux entry, which stays unbound. *)
+  let two cache =
+    install cache ~entry:1 ~nodes:[ 1 ] ~aux:[];
+    install cache ~entry:0 ~nodes:[ 0; 1 ] ~aux:[ 1 ]
+  in
+  let report = forged_cache_snapshot ~build:one ~tail:[ 1; s.(1); 0; 0; 0 ] () in
+  check_true "the unforged cache section restores" (not (List.mem "cache" (sections_of report)));
+  let report =
+    forged_cache_snapshot ~build:one ~tail:[ 1; s.(1); 0; 0; 0 ]
+      ~forged_tail:[ 1; s.(1) + 1; 0; 0; 0 ] ()
+  in
+  Alcotest.(check (list string)) "a non-block-start binding degrades the cache" [ "cache" ]
+    (sections_of report);
+  let report =
+    forged_cache_snapshot ~build:two ~tail:[ 0; 0; 0 ] ~forged_tail:[ 1; s.(1); 1; 0; 0 ] ()
+  in
+  Alcotest.(check (list string)) "a colliding binding degrades the cache" [ "cache" ]
+    (sections_of report)
+
 (* ---- qcheck properties ---- *)
 
 let genome_gen = QCheck.(list_of_size (Gen.int_range 1 5) (int_bound 1000))
@@ -564,6 +655,7 @@ let suite =
     case "truncation degrades tail sections" truncation_degrades_tail_sections;
     case "header damage is hard corruption" header_damage_is_hard_corruption;
     case "degraded restore still finishes" degraded_restore_still_finishes;
+    case "forged aux binding degrades the cache" forged_aux_binding_degrades_cache;
     QCheck_alcotest.to_alcotest qcheck_reencode_identity;
     QCheck_alcotest.to_alcotest qcheck_history_buffer_roundtrip;
     case "snapshot corruption axis" snapshot_corruption_axis;
