@@ -258,9 +258,7 @@ let checked_run ?(params = Params.default) ?(seed = 1L) ?telemetry ?(audit_every
         with
         | None -> ()
         | Some s ->
-          let ints = Queue.create () in
-          s.Simulator.sec_save (fun v -> Queue.add v ints);
-          Reference.load_warm shadow (fun () -> Queue.pop ints))
+          Snap.decode (Snap.ints s.Simulator.sec_save) (Reference.load_warm shadow))
       restore
   in
   let result =

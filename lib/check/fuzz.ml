@@ -122,14 +122,17 @@ let run_seed ?(max_steps = 4000) seed =
 
 (* --- Snapshot-corruption axis ---------------------------------------
 
-   Capture a valid mid-run snapshot, then batter it — random byte flips,
-   truncations, garbage tails — and restore every mutant into a fresh
-   run.  Admissible outcomes: a clean restore whose continuation ends
-   bit-identical to the uninterrupted run, a degraded restore whose cache
-   passes {!Check.audit_cache} immediately and whose run completes, or
-   [Persist.Hard_corruption].  Anything else — an unhandled exception, an
-   auditor conviction, or a "clean" restore that silently diverges — is a
-   failure of the recovery path. *)
+   Capture a valid mid-run snapshot, then batter it and restore every
+   mutant into a fresh run.  Two classes alternate: byte mutants (random
+   flips, truncations, garbage tails), which mostly stop at a frame CRC,
+   and resealed mutants, whose section ints are edited, truncated,
+   extended or given a huge count before the writer seals them, so the
+   section decoders see hostile input.  Admissible outcomes: a clean
+   restore, a degraded restore, or [Persist.Hard_corruption].  Anything
+   else — an unhandled exception, an auditor conviction, a degraded
+   section that is not fresh, or a "clean" restore of the unmutated
+   snapshot that silently diverges — is a failure of the recovery
+   path. *)
 
 type snapshot_outcome = Snapshot_clean | Snapshot_degraded of int | Snapshot_rejected
 
@@ -140,38 +143,92 @@ type snapshot_summary = {
   snap_rejected : int;
 }
 
+let section_ints (internals : Simulator.internals) =
+  List.map
+    (fun (s : Simulator.section) -> (s.Simulator.sec_name, Snap.ints s.Simulator.sec_save))
+    internals.Simulator.int_sections
+
+(* One resealed mutant: a section's ints edited before [Persist.encode]
+   frames and checksums them. *)
+let resealed_mutant g ~seed ~policy (internals : Simulator.internals) =
+  let sections = Array.of_list (section_ints internals) in
+  let name, ints = sections.(Splitmix.int g (Array.length sections)) in
+  let n = Array.length ints in
+  let set v =
+    let a = Array.copy ints in
+    a.(Splitmix.int g n) <- v;
+    a
+  in
+  let kind, ints =
+    match Splitmix.int g 4 with
+    | 0 when n > 0 -> ("edit", set (Splitmix.int g 64 - 16))
+    | 1 when n > 0 -> ("truncate", Array.sub ints 0 (Splitmix.int g n))
+    | 3 when n > 0 -> ("huge", set (1 lsl 40))
+    | _ -> ("extend", Array.append ints (Array.init (1 + Splitmix.int g 8) (fun _ -> Splitmix.int g 64)))
+  in
+  let int_sections =
+    List.map
+      (fun (s : Simulator.section) ->
+        if String.equal s.Simulator.sec_name name then
+          { s with Simulator.sec_save = (fun emit -> Array.iter emit ints) }
+        else s)
+      internals.Simulator.int_sections
+  in
+  ( Persist.encode ~seed ~policy { internals with Simulator.int_sections },
+    Printf.sprintf "resealed-%s %s" kind name )
+
 (* Plain (unchecked) runs on both sides of the snapshot: the corruption
    axis probes the restore path itself, and a sink-less run keeps every
    emitted section owned by the restoring run.  The matrix sweep above
    already covers checkpoint-free checked runs. *)
-let snapshot_of_case c ~at =
+let snapshot_of_case ?(resealed = 0) c ~at =
   let image = image_of_genome c.genome in
   let params = params_of c in
-  let snap = ref Bytes.empty in
+  let seed = Int64.of_int c.seed in
+  let snap = ref Bytes.empty and mutants = ref [] in
   let checkpoint =
     ( at,
       fun (internals : Simulator.internals) ->
-        snap := Persist.encode ~seed:(Int64.of_int c.seed) ~policy:c.policy internals )
+        snap := Persist.encode ~seed ~policy:c.policy internals;
+        let g = Splitmix.create ~seed:(Int64.of_int (c.seed + 0x5ea1)) in
+        mutants :=
+          List.init resealed (fun _ -> resealed_mutant g ~seed ~policy:c.policy internals) )
   in
   let result =
-    Simulator.run ~params ~seed:(Int64.of_int c.seed) ~checkpoint
-      ~policy:(policy_exn c.policy) ~max_steps:c.max_steps image
+    Simulator.run ~params ~seed ~checkpoint ~policy:(policy_exn c.policy)
+      ~max_steps:c.max_steps image
   in
-  (!snap, signature result)
+  (!snap, signature result, !mutants)
 
-let restore_case c bytes =
+(* Restore [bytes] into a fresh run.  Right after the restore, the cache
+   must pass the structural auditor — a re-warming subsystem starts
+   empty, never inconsistent — and a degraded section must still hold its
+   fresh state; of a resealed mutant, every section must be restored or
+   degraded.  (A damaged tag can name a section whose real frame
+   restored.) *)
+let restore_case ~resealed c bytes =
   let image = image_of_genome c.genome in
   let params = params_of c in
   let program = image.Image.program in
   let report = ref None in
   let restore (internals : Simulator.internals) =
+    let fresh = section_ints internals in
     let r =
       Persist.decode_into bytes ~seed:(Int64.of_int c.seed) ~policy:c.policy internals
     in
     report := Some r;
-    (* The structural auditor must accept the cache the instant a restore
-       is accepted, degraded or not — a re-warming subsystem starts empty,
-       never inconsistent. *)
+    let restored name = List.mem name r.Persist.restored in
+    let degraded name =
+      (not (restored name))
+      && List.exists (fun (d : Persist.degraded) -> d.Persist.section = name) r.Persist.degraded
+    in
+    List.iter
+      (fun (name, ints) ->
+        if degraded name && ints <> List.assoc name fresh then
+          failwith ("degraded section lost its fresh state: " ^ name)
+        else if resealed && not (degraded name || restored name) then
+          failwith ("resealed section neither restored nor degraded: " ^ name))
+      (section_ints internals);
     let cache = internals.Simulator.int_ctx.Context.cache in
     Check.audit_cache ~program cache ~step:(Code_cache.now cache)
   in
@@ -181,15 +238,17 @@ let restore_case c bytes =
   in
   (result, Option.get !report)
 
-let snapshot_outcome c ~reference bytes =
-  match restore_case c bytes with
+(* A resealed mutant is a valid snapshot of some other state, so only the
+   unmutated snapshot's clean restore must match the uninterrupted run. *)
+let snapshot_outcome ?(resealed = false) c ~reference bytes =
+  match restore_case ~resealed c bytes with
   | exception Persist.Hard_corruption _ -> Ok (Snapshot_rejected, "")
   | exception Check.Check_violation v ->
     Error ("restore failed the auditor: " ^ Check.violation_to_string v)
   | exception e -> Error ("restore raised: " ^ Printexc.to_string e)
   | result, report ->
     if Persist.clean report && report.Persist.skipped = 0 then
-      if signature result = reference then Ok (Snapshot_clean, "")
+      if resealed || signature result = reference then Ok (Snapshot_clean, "")
       else Error "clean restore silently diverged from the uninterrupted run"
     else
       let reasons =
@@ -236,13 +295,16 @@ let run_snapshot_seed ?(corruptions = 50) ?(max_steps = 3000) seed =
       max_steps;
     }
   in
-  let snap, reference = snapshot_of_case c ~at:(max 1 (max_steps / 2)) in
+  (* Every other mutant is a resealed one. *)
+  let snap, reference, resealed =
+    snapshot_of_case ~resealed:(corruptions / 2) c ~at:(max 1 (max_steps / 2))
+  in
   let g = Splitmix.create ~seed:(Int64.of_int (seed + 0x5eed)) in
   let clean = ref 0 and degraded = ref 0 and rejected = ref 0 and n = ref 0 in
   let failure = ref None in
-  let try_one label bytes ~pristine =
+  let try_one ?resealed label bytes ~pristine =
     incr n;
-    match snapshot_outcome c ~reference bytes with
+    match snapshot_outcome ?resealed c ~reference bytes with
     | Ok (Snapshot_clean, _) -> incr clean
     | Ok (Snapshot_degraded _, _) when not pristine -> incr degraded
     | Ok (Snapshot_degraded _, reasons) ->
@@ -256,11 +318,17 @@ let run_snapshot_seed ?(corruptions = 50) ?(max_steps = 3000) seed =
   (* Control case: the untouched snapshot must restore cleanly and finish
      bit-identical to the uninterrupted run. *)
   try_one "control" snap ~pristine:true;
+  let resealed = ref resealed in
   let i = ref 0 in
   while !failure = None && !i < corruptions do
     incr i;
-    let bytes, kind = mutate g snap in
-    try_one (Printf.sprintf "%s #%d" kind !i) bytes ~pristine:false
+    match !resealed with
+    | (bytes, kind) :: rest when !i mod 2 = 0 ->
+      resealed := rest;
+      try_one ~resealed:true (Printf.sprintf "%s #%d" kind !i) bytes ~pristine:false
+    | _ ->
+      let bytes, kind = mutate g snap in
+      try_one (Printf.sprintf "%s #%d" kind !i) bytes ~pristine:false
   done;
   ( !failure,
     {

@@ -85,27 +85,22 @@ let step t =
 (* The interp snapshot section: pc, stack length and stack bottom first,
    the root PRNG limbs, then one presence flag per block id for the cond
    states and again for the indirect states, each present state followed
-   by its own stream.  States are created in block-id order through the
-   same lazy constructors before their positions are overwritten, and the
-   root limbs are set last, so creation order cannot show. *)
-let load_warm t read =
-  let pc = read () in
-  let depth = read () in
-  if depth < 0 then failwith "Reference.load_warm: negative stack length";
-  let bottom_up = List.init depth (fun _ -> read ()) in
-  let hi = read () in
-  let lo = read () in
-  let n = Program.n_blocks t.program in
-  let load_states what load =
-    for id = 0 to n - 1 do
-      match read () with
-      | 0 -> ()
-      | 1 -> load (Program.block_of_id t.program id) read
-      | _ -> failwith ("Reference.load_warm: bad " ^ what ^ " presence flag")
-    done
+   by its own stream.  Decoded states are detached from the root PRNG, so
+   the root limbs alone fix every future split. *)
+let load_warm t r =
+  let pc = Snap.int r in
+  let bottom_up = Snap.list r Snap.int in
+  let hi = Snap.tag r ~n:0x1_0000_0000 in
+  let lo = Snap.tag r ~n:0x1_0000_0000 in
+  let states tbl read =
+    Hashtbl.reset tbl;
+    Program.iter_blocks
+      (fun b -> if Snap.bool r then Hashtbl.replace tbl b.Block.start (read b))
+      t.program
   in
-  load_states "cond-state" (fun b -> Behavior.load_state (cond_state t b));
-  load_states "indirect-state" (fun b -> Behavior.load_indirect (indirect_state t b));
+  states t.conds (fun b -> Behavior.read_state (Image.cond_spec t.image (Block.last b)) r);
+  states t.indirects (fun b ->
+      Behavior.read_indirect (Image.indirect_spec t.image (Block.last b)) r);
   Splitmix.set_state t.prng ~hi ~lo;
   t.pc <- pc;
   t.stack <- List.rev bottom_up

@@ -41,7 +41,7 @@ val step : t -> step option
     @raise Invalid_argument when a transfer target (an indirect branch's
     choice, in practice) is not a block start. *)
 
-val load_warm : t -> (unit -> int) -> unit
+val load_warm : t -> Snap.reader -> unit
 (** Load the [interp] snapshot section ([Interp.save_warm]'s stream) into a
     fresh reference interpreter over the same image, so it continues from
     the saved pc, return stack and PRNG positions.

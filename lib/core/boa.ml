@@ -16,10 +16,9 @@ let create ctx = { ctx; biases = Addr.Table.create 512 }
 (* Checkpoint support.  [biases] is only ever probed by key (never
    iterated), so content equality is enough on restore. *)
 let save t emit =
-  emit (Addr.Table.length t.biases);
   (* Site-sorted: canonical bytes regardless of the table's insertion
      history. *)
-  List.iter
+  Snap.emit_list emit
     (fun (site, b) ->
       emit site;
       emit b.taken;
@@ -28,16 +27,12 @@ let save t emit =
        (fun (a, _) (b, _) -> Addr.compare a b)
        (Addr.Table.fold (fun k v acc -> (k, v) :: acc) t.biases []))
 
-let load ctx read =
+let load ctx r =
   let t = create ctx in
-  let n = read () in
-  if n < 0 then failwith "Boa.load: negative bias count";
-  for _ = 1 to n do
-    let site = read () in
-    let taken = read () in
-    let not_taken = read () in
-    if taken < 0 || not_taken < 0 then failwith "Boa.load: negative bias";
-    Addr.Table.replace t.biases site { taken; not_taken }
+  for _ = 1 to Snap.len r do
+    let site = Snap.int r in
+    let taken = Snap.nat r in
+    Addr.Table.replace t.biases site { taken; not_taken = Snap.nat r }
   done;
   t
 

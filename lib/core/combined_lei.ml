@@ -24,19 +24,21 @@ let save t emit =
   Observation_store.save t.store emit;
   History_buffer.save t.buf emit
 
-let load ctx read =
+let load ctx r =
   let t = create ctx in
-  Observation_store.load t.store read;
-  History_buffer.load t.buf read;
+  Observation_store.load ~program:ctx.Context.program t.store r;
+  History_buffer.load t.buf r;
   t
 
 let observe t ~tgt ~old_seq =
   let path = Lei_former.form ~ctx:t.ctx ~buf:t.buf ~start:tgt ~after_seq:old_seq in
   History_buffer.truncate_after t.buf ~seq:old_seq;
-  match path with
-  | None -> Policy.No_action
-  | Some path ->
-    Observation_store.record t.store (Compact_trace.encode path);
+  (* A path that does not walk — a restored history buffer whose run
+     resumed elsewhere — is dropped rather than stored. *)
+  match Option.map Compact_trace.encode path with
+  | None | (exception Invalid_argument _) -> Policy.No_action
+  | Some trace ->
+    Observation_store.record t.store trace;
     if Observation_store.count t.store tgt >= t_prof t then begin
       let observations = Observation_store.take t.store tgt in
       Counters.release t.ctx.Context.counters tgt;

@@ -32,7 +32,10 @@ let t_prof t = t.ctx.Context.params.Params.combine_t_prof
    not just its contents: the bucket count is saved, the restored table is
    created at exactly that size (no resize can occur mid-rebuild), and
    bindings are re-added in reverse iteration order so prepend semantics
-   recreate the original bucket order. *)
+   recreate the original bucket order.  The bucket count is no count of
+   items to come, so it is bounded by the program instead: the table
+   holds at most one former per block and only doubles past twice its
+   size, so it never outgrows [max 16 n_blocks] buckets. *)
 
 let save t emit =
   (match t.pending with
@@ -46,20 +49,16 @@ let save t emit =
   emit (Addr.Table.length t.formers);
   Addr.Table.iter (fun _entry former -> Net_former.save former emit) t.formers
 
-let load ctx read =
-  let pending =
-    match read () with
-    | 0 -> None
-    | 1 -> Some (read ())
-    | _ -> failwith "Combined_net.load: bad pending tag"
-  in
+let load ctx r =
+  let program = ctx.Context.program in
+  let pending = if Snap.bool r then Some (Snap.int r) else None in
   let store = Observation_store.create ctx.Context.gauges in
-  Observation_store.load store read;
-  let buckets = read () in
-  let n = read () in
-  if buckets < 1 || n < 0 then failwith "Combined_net.load: malformed former table";
+  Observation_store.load ~program store r;
+  let buckets = Snap.nat r in
+  if buckets < 1 || buckets > max 16 (Program.n_blocks program) then
+    failwith "Combined_net.load: bucket count out of range";
   let formers = Addr.Table.create buckets in
-  let fs = List.init n (fun _ -> Net_former.load ~program:ctx.Context.program read) in
+  let fs = Snap.list r (Net_former.load ~program) in
   List.iter (fun f -> Addr.Table.add formers (Net_former.entry f) f) (List.rev fs);
   { ctx; store; formers; pending }
 
@@ -94,14 +93,19 @@ let advance_observations t block taken next =
   List.iter
     (fun (entry, path) ->
       Addr.Table.remove t.formers entry;
-      Observation_store.record t.store (Compact_trace.encode path);
-      if Observation_store.count t.store entry >= t_prof t then begin
-        let observations = Observation_store.take t.store entry in
-        Counters.release t.ctx.Context.counters entry;
-        match Combine.build_region t.ctx ~entry ~observations with
-        | Some spec -> specs := spec :: !specs
-        | None -> ()
-      end)
+      (* A path that does not walk — a restored former whose run resumed
+         elsewhere — is dropped rather than stored. *)
+      match Compact_trace.encode path with
+      | exception Invalid_argument _ -> ()
+      | trace ->
+        Observation_store.record t.store trace;
+        if Observation_store.count t.store entry >= t_prof t then begin
+          let observations = Observation_store.take t.store entry in
+          Counters.release t.ctx.Context.counters entry;
+          match Combine.build_region t.ctx ~entry ~observations with
+          | Some spec -> specs := spec :: !specs
+          | None -> ()
+        end)
     !completed;
   if !specs = [] then Policy.No_action else Policy.Install !specs
 

@@ -74,18 +74,11 @@ let save t emit =
   emit (Bytes.length t.data);
   Bytes.iter (fun c -> emit (Char.code c)) t.data
 
-let load read =
-  let entry = read () in
-  let n_bits = read () in
-  let len = read () in
-  if len < 0 || n_bits < 0 || n_bits > len * 8 then
-    failwith "Compact_trace.load: invalid geometry";
-  let data = Bytes.create len in
-  for i = 0 to len - 1 do
-    let c = read () in
-    if c < 0 || c > 255 then failwith "Compact_trace.load: byte out of range";
-    Bytes.set data i (Char.chr c)
-  done;
+let load r =
+  let entry = Snap.int r in
+  let n_bits = Snap.nat r in
+  let data = Bytes.init (Snap.len r) (fun _ -> Char.chr (Snap.tag r ~n:256)) in
+  if n_bits > Bytes.length data * 8 then failwith "Compact_trace.load: invalid geometry";
   { entry; data; n_bits }
 
 type token = Taken | Not_taken | Indirect of Addr.t
@@ -104,7 +97,10 @@ let read_tokens t =
 let errorf fmt = Format.kasprintf invalid_arg fmt
 
 let decode program t =
-  let tokens, end_addr = read_tokens t in
+  let tokens, end_addr =
+    try read_tokens t
+    with Bitbuf.Reader.Out_of_bits -> errorf "Compact_trace.decode: truncated encoding"
+  in
   let tokens = ref tokens in
   let pop () =
     match !tokens with

@@ -38,6 +38,6 @@ val decode : Program.t -> t -> Region.path
 val save : t -> (int -> unit) -> unit
 (** Checkpoint support: the entry, bit length, and raw encoding bytes. *)
 
-val load : (unit -> int) -> t
+val load : Snap.reader -> t
 (** Rebuild a trace from a {!save} stream.  Raises [Failure] on malformed
     geometry (decoding against the program still revalidates content). *)

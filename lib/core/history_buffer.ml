@@ -95,46 +95,23 @@ let save t emit =
   emit t.cap;
   Array.iter emit t.srcs;
   Array.iter emit t.tgts;
-  Array.iter (fun b -> emit (if b then 1 else 0)) t.fexits;
+  Array.iter (Snap.emit_bool emit) t.fexits;
   Array.iter emit t.seqs;
   emit t.hi;
   emit t.live;
-  emit (Addr.Table.length t.hash);
   (* Target-sorted: canonical bytes regardless of insertion history. *)
-  List.iter
-    (fun (tgt, seq) ->
-      emit tgt;
-      emit seq)
+  Snap.emit_pairs emit
     (List.sort
        (fun (a, _) (b, _) -> Addr.compare a b)
        (Addr.Table.fold (fun k v acc -> (k, v) :: acc) t.hash []))
 
-let load t read =
-  if read () <> t.cap then failwith "History_buffer.load: capacity mismatch";
-  for i = 0 to t.cap - 1 do
-    t.srcs.(i) <- read ()
-  done;
-  for i = 0 to t.cap - 1 do
-    t.tgts.(i) <- read ()
-  done;
-  for i = 0 to t.cap - 1 do
-    t.fexits.(i) <-
-      (match read () with
-      | 0 -> false
-      | 1 -> true
-      | _ -> failwith "History_buffer.load: bad flag")
-  done;
-  for i = 0 to t.cap - 1 do
-    t.seqs.(i) <- read ()
-  done;
-  t.hi <- read ();
-  t.live <- read ();
-  if t.live < 0 || t.live > t.cap then failwith "History_buffer.load: live count out of range";
-  let n = read () in
-  if n < 0 then failwith "History_buffer.load: negative index length";
+let load t r =
+  if Snap.int r <> t.cap then failwith "History_buffer.load: capacity mismatch";
+  Array.iteri (fun i _ -> t.srcs.(i) <- Snap.int r) t.srcs;
+  Array.iteri (fun i _ -> t.tgts.(i) <- Snap.int r) t.tgts;
+  Array.iteri (fun i _ -> t.fexits.(i) <- Snap.bool r) t.fexits;
+  Array.iteri (fun i _ -> t.seqs.(i) <- Snap.int r) t.seqs;
+  t.hi <- Snap.int r;
+  t.live <- Snap.tag r ~n:(t.cap + 1);
   Addr.Table.reset t.hash;
-  for _ = 1 to n do
-    let tgt = read () in
-    let seq = read () in
-    Addr.Table.replace t.hash tgt seq
-  done
+  List.iter (fun (tgt, seq) -> Addr.Table.replace t.hash tgt seq) (Snap.pairs r)

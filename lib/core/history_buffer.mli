@@ -66,7 +66,7 @@ val save : t -> (int -> unit) -> unit
     load-bearing: a stale binding shadows older live occurrences, and
     rebuilding the index from live entries would resurrect them). *)
 
-val load : t -> (unit -> int) -> unit
-(** Restore a {!save} stream into a buffer created with the same
-    capacity.  Raises [Failure] on capacity mismatch or a malformed
+val load : t -> Snap.reader -> unit
+(** Fill a freshly created buffer of the same capacity from a {!save}
+    stream.  Raises [Failure] on capacity mismatch or a malformed
     stream. *)

@@ -33,19 +33,11 @@ let create (ctx : Context.t) = { ctx; boundaries = static_boundaries ctx.Context
 (* Checkpoint support: the boundary set (static plus learned call targets)
    is the policy's only state.  [Addr.Set] iterates in address order, so a
    plain element dump round-trips exactly. *)
-let save t emit =
-  emit (Addr.Set.cardinal t.boundaries);
-  Addr.Set.iter emit t.boundaries
+let save t emit = Snap.emit_list emit emit (Addr.Set.elements t.boundaries)
 
-let load ctx read =
+let load ctx r =
   let t = create ctx in
-  let n = read () in
-  if n < 0 then failwith "Method_regions.load: negative boundary count";
-  let acc = ref Addr.Set.empty in
-  for _ = 1 to n do
-    acc := Addr.Set.add (read ()) !acc
-  done;
-  t.boundaries <- !acc;
+  t.boundaries <- Addr.Set.of_list (Snap.list r Snap.int);
   t
 
 let learn t entry = t.boundaries <- Addr.Set.add entry t.boundaries

@@ -27,32 +27,23 @@ let finish t ~final_next =
 
 let save t emit =
   emit t.entry;
-  emit (List.length t.rev_blocks);
-  List.iter (fun (b : Block.t) -> emit b.Block.start) t.rev_blocks;
+  Snap.emit_list emit (fun (b : Block.t) -> emit b.Block.start) t.rev_blocks;
   emit t.n_blocks;
   emit t.n_insts;
-  emit (if t.finished then 1 else 0)
+  Snap.emit_bool emit t.finished
 
-let load ~program read =
-  let entry = read () in
-  let n = read () in
-  if n < 0 then failwith "Net_former.load: negative block count";
+let load ~program r =
+  let entry = Snap.int r in
   let rev_blocks =
-    List.init n (fun _ ->
-        let a = read () in
+    Snap.list r (fun r ->
+        let a = Snap.int r in
         if not (Program.is_block_start program a) then
           failwith "Net_former.load: block is not a block start";
         Program.block_of_id program (Program.block_id program a))
   in
-  let n_blocks = read () in
-  let n_insts = read () in
-  let finished =
-    match read () with
-    | 0 -> false
-    | 1 -> true
-    | _ -> failwith "Net_former.load: bad flag"
-  in
-  { entry; rev_blocks; n_blocks; n_insts; finished }
+  let n_blocks = Snap.int r in
+  let n_insts = Snap.int r in
+  { entry; rev_blocks; n_blocks; n_insts; finished = Snap.bool r }
 
 let feed t ~ctx ~block ~taken ~next =
   if t.finished then invalid_arg "Net_former.feed: already finished";

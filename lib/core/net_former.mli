@@ -31,6 +31,6 @@ val save : t -> (int -> unit) -> unit
 (** Checkpoint support: the recording in progress, blocks as start
     addresses. *)
 
-val load : program:Program.t -> (unit -> int) -> t
+val load : program:Program.t -> Snap.reader -> t
 (** Rebuild a former from a {!save} stream, re-resolving blocks in the
     program.  Raises [Failure] on a malformed stream. *)

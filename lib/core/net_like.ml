@@ -36,25 +36,17 @@ module Make (C : CONFIG) : Policy.S = struct
     | Active former ->
       emit 2;
       Net_former.save former emit);
-    emit (Addr.Table.length t.exit_targets);
     (* Sorted: canonical bytes regardless of insertion history. *)
-    List.iter
-      (fun a -> emit a)
-      (List.sort Addr.compare
-         (Addr.Table.fold (fun a () acc -> a :: acc) t.exit_targets []))
+    Snap.emit_list emit emit
+      (List.sort Addr.compare (Addr.Table.fold (fun a () acc -> a :: acc) t.exit_targets []))
 
-  let load ctx read =
+  let load ctx r =
     let t = create ctx in
-    (match read () with
+    (match Snap.tag r ~n:3 with
     | 0 -> ()
-    | 1 -> t.recording <- Pending (read ())
-    | 2 -> t.recording <- Active (Net_former.load ~program:ctx.Context.program read)
-    | _ -> failwith (name ^ ".load: bad recording tag"));
-    let n = read () in
-    if n < 0 then failwith (name ^ ".load: negative exit-target count");
-    for _ = 1 to n do
-      Addr.Table.replace t.exit_targets (read ()) ()
-    done;
+    | 1 -> t.recording <- Pending (Snap.int r)
+    | _ -> t.recording <- Active (Net_former.load ~program:ctx.Context.program r));
+    List.iter (fun a -> Addr.Table.replace t.exit_targets a ()) (Snap.list r Snap.int);
     t
 
   let threshold_for t tgt =

@@ -30,32 +30,42 @@ let total_bytes t = t.bytes
 let n_entries t = Addr.Table.length t.table
 
 (* Checkpoint support.  Restoring does not touch the gauges: the shared
-   gauge state has its own snapshot section and is restored separately. *)
+   gauge state has its own snapshot section, restored before the policy's.
+   With one store per run the gauge's observed bytes are exactly the
+   store's, so [load] insists on that: a store whose byte count disagrees
+   with its traces or with the gauge (a forged count, or a gauges section
+   that degraded to zero) would drive the gauge negative as its traces
+   are taken, and is rejected instead.  Stored traces are replayed at
+   combination time, mid-run, so one that does not replay from its entry
+   on the program is rejected here too. *)
 
 let save t emit =
   emit t.bytes;
-  emit (Addr.Table.length t.table);
   (* Entry-sorted: table iteration order depends on insertion history,
      which would make a restored store re-encode differently. *)
-  List.iter
+  Snap.emit_list emit
     (fun (entry, traces) ->
       emit entry;
-      emit (List.length traces);
-      List.iter (fun tr -> Compact_trace.save tr emit) traces)
+      Snap.emit_list emit (fun tr -> Compact_trace.save tr emit) traces)
     (List.sort
        (fun (a, _) (b, _) -> Addr.compare a b)
        (Addr.Table.fold (fun k v acc -> (k, v) :: acc) t.table []))
 
-let load t read =
-  let bytes = read () in
-  let n = read () in
-  if bytes < 0 || n < 0 then failwith "Observation_store.load: negative length";
+let load ~program t r =
+  let bytes = Snap.nat r in
+  let sum = ref 0 in
   Addr.Table.reset t.table;
-  for _ = 1 to n do
-    let entry = read () in
-    let len = read () in
-    if len < 0 then failwith "Observation_store.load: negative trace-list length";
-    let traces = List.init len (fun _ -> Compact_trace.load read) in
+  for _ = 1 to Snap.len r do
+    let entry = Snap.int r in
+    let traces = Snap.list r Compact_trace.load in
+    List.iter
+      (fun tr ->
+        if Compact_trace.entry tr <> entry then failwith "Observation_store.load: misfiled trace";
+        ignore (Compact_trace.decode program tr : Regionsel_engine.Region.path);
+        sum := !sum + Compact_trace.size_bytes tr)
+      traces;
     Addr.Table.replace t.table entry traces
   done;
+  if bytes <> !sum || bytes <> Gauges.observed_bytes t.gauges then
+    failwith "Observation_store.load: byte count disagrees with the traces or the gauge";
   t.bytes <- bytes

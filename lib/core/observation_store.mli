@@ -29,7 +29,10 @@ val n_entries : t -> int
 val save : t -> (int -> unit) -> unit
 (** Checkpoint support: every stored trace, keyed by entry. *)
 
-val load : t -> (unit -> int) -> unit
-(** Replace the store's contents from a {!save} stream.  Does not touch
-    the shared gauges (they have their own snapshot section).  Raises
-    [Failure] on a malformed stream. *)
+val load : program:Program.t -> t -> Snap.reader -> unit
+(** Fill a freshly created store from a {!save} stream.  Every trace must
+    replay from its entry on [program], and the byte count must equal
+    both the traces' bytes and the shared gauge's observed bytes (the
+    gauges section restores first; with one store per run the two
+    agree).  Does not touch the gauges.  Raises [Failure] or
+    [Invalid_argument] on a stream that fails these checks. *)

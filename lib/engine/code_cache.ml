@@ -225,23 +225,24 @@ let retire t (region : Region.t) =
    straight to [target] from now on, skipping dispatch.  First link wins;
    callers only attempt it right after a dispatch probe returned [target],
    so the link and the dispatch array agree by construction. *)
+(* Patch the stub and index the link both ways; [load] re-registers a
+   snapshot's links through this too. *)
+let register_link t ~(from : Region.t) ~slot ~(target : Region.t) =
+  Region.set_link from ~slot (Some target);
+  let incoming =
+    match Int_tbl.find_opt t.incoming_links target.Region.id with Some l -> l | None -> []
+  in
+  Int_tbl.replace t.incoming_links target.Region.id ((from, slot) :: incoming);
+  let through = match Int_tbl.find_opt t.slot_links slot with Some l -> l | None -> [] in
+  Int_tbl.replace t.slot_links slot (from :: through)
+
 let add_link t ~(from : Region.t) ~slot ~(target : Region.t) =
   if
     slot >= 0
     && slot < Region.n_link_slots from
     && (match Region.link_target from slot with None -> true | Some _ -> false)
   then begin
-    Region.set_link from ~slot (Some target);
-    let incoming =
-      match Int_tbl.find_opt t.incoming_links target.Region.id with
-      | Some l -> l
-      | None -> []
-    in
-    Int_tbl.replace t.incoming_links target.Region.id ((from, slot) :: incoming);
-    let through =
-      match Int_tbl.find_opt t.slot_links slot with Some l -> l | None -> []
-    in
-    Int_tbl.replace t.slot_links slot (from :: through);
+    register_link t ~from ~slot ~target;
     t.links_created <- t.links_created + 1;
     t.live_links <- t.live_links + 1;
     Telemetry.link_patch t.telemetry ~step:t.now ~from_id:from.Region.id
@@ -543,12 +544,13 @@ let region_by_id t id =
    [load] therefore validates each binding against the program and the
    live set before committing it.
 
-   [load] is decode-then-commit: the entire stream is parsed and
-   cross-validated into local structures first, and the cache is only
-   mutated after the last read, so a torn or corrupt section leaves the
-   cache exactly as it was (empty, for a fresh restore target).  Import
-   emits no telemetry and fires no auditor — restoring is not a lifecycle
-   event. *)
+   [load] decodes into local structures, cross-checks them and returns
+   the commit; the cache is only mutated when the commit runs, so a torn
+   or corrupt section leaves the cache exactly as it was (empty, for a
+   fresh restore target).  The cross-checks are the audit's ledgers: the
+   byte count, the FIFO's tombstones and the link graph must agree with
+   the rebuilt live set and dispatch array.  Import emits no telemetry and
+   fires no auditor — restoring is not a lifecycle event. *)
 
 let save t emit =
   emit t.next_id;
@@ -567,208 +569,165 @@ let save t emit =
   emit t.link_severs;
   emit t.live_links;
   emit t.fifo_tombstones;
-  let live = regions t in
-  let all = all_regions t in
-  emit (List.length all);
-  List.iter (fun r -> Region.save r emit) all;
-  emit (List.length live);
-  List.iter (fun (r : Region.t) -> emit r.Region.id) live;
-  emit (Queue.length t.fifo);
-  Queue.iter (fun (r : Region.t) -> emit r.Region.id) t.fifo;
-  emit (List.length t.retired);
-  List.iter (fun (r : Region.t) -> emit r.Region.id) t.retired;
+  let ids = Snap.emit_list emit (fun (r : Region.t) -> emit r.Region.id) in
+  Snap.emit_list emit (fun r -> Region.save r emit) (all_regions t);
+  ids (regions t);
+  ids (List.of_seq (Queue.to_seq t.fifo));
+  ids t.retired;
   let aux = ref [] in
   for id = Array.length t.dispatch - 1 downto 0 do
     match t.dispatch.(id) with
     | Some r ->
       let a = (Program.block_of_id t.program id).Block.start in
-      if not (Addr.equal a r.Region.entry) then aux := (a, r) :: !aux
+      if not (Addr.equal a r.Region.entry) then aux := (a, r.Region.id) :: !aux
     | None -> ()
   done;
-  emit (List.length !aux);
-  List.iter
-    (fun (a, (r : Region.t)) ->
-      emit a;
-      emit r.Region.id)
-    !aux;
-  emit (Int_tbl.length t.evicted_entries);
-  List.iter (fun (a, ()) -> emit a) (Int_tbl.sorted_pairs t.evicted_entries);
+  Snap.emit_pairs emit !aux;
+  Snap.emit_list emit emit (List.map fst (Int_tbl.sorted_pairs t.evicted_entries));
   let triples = ref [] in
-  let n_triples = ref 0 in
   Queue.iter
     (fun (r : Region.t) ->
       if is_live t r then
         for slot = 0 to Region.n_link_slots r - 1 do
           match Region.link_target r slot with
-          | Some (tgt : Region.t) ->
-            incr n_triples;
-            triples := (r.Region.id, slot, tgt.Region.id) :: !triples
+          | Some (tgt : Region.t) -> triples := (r.Region.id, slot, tgt.Region.id) :: !triples
           | None -> ()
         done)
     t.fifo;
-  emit !n_triples;
-  List.iter
+  Snap.emit_list emit
     (fun (from, slot, tgt) ->
       emit from;
       emit slot;
       emit tgt)
     (List.rev !triples)
 
-let read_len read what =
-  let n = read () in
-  if n < 0 then failwith (Printf.sprintf "Code_cache.load: negative %s length" what);
-  n
-
-let load t read =
+let load t r =
   let program = t.program in
-  let next_id = read () in
-  let bytes_used = read () in
-  let alloc_cursor = read () in
-  let now = read () in
-  let clock_regressions = read () in
-  let evictions = read () in
-  let flushes = read () in
-  let regenerations = read () in
-  let invalidations = read () in
-  let blacklist_hits = read () in
-  let duplicate_installs = read () in
-  let translation_failures = read () in
-  let links_created = read () in
-  let link_severs = read () in
-  let live_links = read () in
-  let fifo_tombstones = read () in
-  let n_all = read_len read "region" in
-  let by_id = Int_tbl.create (max 16 (2 * n_all)) in
-  for _ = 1 to n_all do
-    let r = Region.load ~program read in
-    if r.Region.id < 0 || Int_tbl.mem by_id r.Region.id then
-      failwith "Code_cache.load: duplicate or negative region id";
-    Int_tbl.replace by_id r.Region.id r
-  done;
-  let resolve id =
-    match Int_tbl.find_opt by_id id with
-    | Some r -> r
+  (* The sixteen counters, in [save] order. *)
+  let c = Array.init 16 (fun _ -> Snap.nat r) in
+  let next_id = c.(0) and bytes_used = c.(1) and clock_regressions = c.(4) in
+  let live_links = c.(14) and fifo_tombstones = c.(15) in
+  let all = Snap.list r (Region.load ~program) in
+  let by_id = Int_tbl.create (max 16 (2 * List.length all)) in
+  List.iter
+    (fun (reg : Region.t) ->
+      if reg.Region.id >= next_id || Int_tbl.mem by_id reg.Region.id then
+        failwith "Code_cache.load: duplicate region id, or one not yet issued";
+      Int_tbl.replace by_id reg.Region.id reg)
+    all;
+  let region r =
+    match Int_tbl.find_opt by_id (Snap.int r) with
+    | Some reg -> reg
     | None -> failwith "Code_cache.load: unresolved region id"
   in
-  let n_live = read_len read "live-set" in
-  let live = List.init n_live (fun _ -> resolve (read ())) in
-  let n_fifo = read_len read "fifo" in
-  let fifo_regions = List.init n_fifo (fun _ -> resolve (read ())) in
-  let n_retired = read_len read "retired" in
-  let retired = List.init n_retired (fun _ -> resolve (read ())) in
-  let n_aux = read_len read "aux-entry" in
+  let live = Snap.list r region in
+  let fifo_regions = Snap.list r region in
+  let retired = Snap.list r region in
   let aux =
-    List.init n_aux (fun _ ->
-        let a = read () in
-        let r = resolve (read ()) in
-        (a, r))
+    Snap.list r (fun r ->
+        let a = Snap.int r in
+        (a, region r))
   in
-  let n_evicted = read_len read "evicted-entry" in
-  let evicted = List.init n_evicted (fun _ -> read ()) in
-  let n_links = read_len read "link" in
+  let evicted = Snap.list r Snap.int in
   let links =
-    List.init n_links (fun _ ->
-        let from = resolve (read ()) in
-        let slot = read () in
-        let tgt = resolve (read ()) in
-        if slot < 0 || slot >= Region.n_link_slots from then
-          failwith "Code_cache.load: link slot out of range";
-        (from, slot, tgt))
+    Snap.list r (fun r ->
+        let from = region r in
+        let slot = Snap.tag r ~n:(Region.n_link_slots from) in
+        (from, slot, region r))
   in
-  if live_links <> n_links then failwith "Code_cache.load: live-link count mismatch";
   (* Rebuild the dispatch array off to the side: every claim must be a
      block start (entries are, by [Region.of_spec]) that no other live
      claim holds, and an aux binding must name a live region that lists
      the address among its aux entries. *)
   let dispatch = Array.make (Array.length t.dispatch) None in
-  let claim a r what =
+  let claim a reg what =
     let id = Program.block_id program a in
     if id < 0 then failwith (Printf.sprintf "Code_cache.load: %s is not a block start" what);
     match dispatch.(id) with
     | Some _ -> failwith (Printf.sprintf "Code_cache.load: %s collides with another claim" what)
-    | None -> dispatch.(id) <- Some r
+    | None -> dispatch.(id) <- Some reg
   in
-  List.iter (fun (r : Region.t) -> claim r.Region.entry r "live entry") live;
+  List.iter (fun (reg : Region.t) -> claim reg.Region.entry reg "live entry") live;
+  let is_live (reg : Region.t) =
+    match dispatch.(Program.block_id program reg.Region.entry) with
+    | Some e -> e == reg
+    | None -> false
+  in
   List.iter
-    (fun (a, (r : Region.t)) ->
-      if not (Addr.Set.mem a r.Region.aux_entries) then
+    (fun (a, (reg : Region.t)) ->
+      if not (Addr.Set.mem a reg.Region.aux_entries) then
         failwith "Code_cache.load: aux binding not among its region's aux entries";
-      (match dispatch.(Program.block_id program r.Region.entry) with
-      | Some e when e == r -> ()
-      | Some _ | None -> failwith "Code_cache.load: aux binding to a region that is not live");
-      claim a r "aux entry")
+      if not (is_live reg) then failwith "Code_cache.load: aux binding to a region that is not live";
+      claim a reg "aux entry")
     aux;
-  (* Everything decoded and cross-checked: commit. *)
-  t.next_id <- next_id;
-  t.bytes_used <- bytes_used;
-  t.alloc_cursor <- alloc_cursor;
-  t.now <- now;
-  t.clock_regressions <- clock_regressions;
-  t.evictions <- evictions;
-  t.flushes <- flushes;
-  t.regenerations <- regenerations;
-  t.invalidations <- invalidations;
-  t.blacklist_hits <- blacklist_hits;
-  t.duplicate_installs <- duplicate_installs;
-  t.translation_failures <- translation_failures;
-  t.links_created <- links_created;
-  t.link_severs <- link_severs;
-  t.live_links <- live_links;
-  Int_tbl.reset t.evicted_entries;
-  Int_tbl.reset t.incoming_links;
-  Int_tbl.reset t.slot_links;
-  Array.blit dispatch 0 t.dispatch 0 (Array.length dispatch);
-  t.n_live <- n_live;
-  let q = Queue.create () in
-  List.iter (fun r -> Queue.add r q) fifo_regions;
-  t.fifo <- q;
-  t.fifo_tombstones <- fifo_tombstones;
-  t.retired <- retired;
-  List.iter (fun a -> Int_tbl.replace t.evicted_entries a ()) evicted;
+  let n_live = List.length live in
+  if clock_regressions <> 0 then failwith "Code_cache.load: the clock ran backwards";
+  if bytes_used <> List.fold_left (fun acc reg -> acc + Region.cache_bytes reg) 0 live then
+    failwith "Code_cache.load: bytes used disagree with the live regions";
+  (* [save] wrote the live set as the FIFO's live entries, in order. *)
+  if not (List.equal ( == ) (List.filter is_live fifo_regions) live) then
+    failwith "Code_cache.load: the FIFO disagrees with the live set";
+  if List.length fifo_regions - n_live <> fifo_tombstones then
+    failwith "Code_cache.load: FIFO tombstones disagree with the live set";
+  if live_links <> List.length links then failwith "Code_cache.load: live-link count mismatch";
   List.iter
     (fun ((from : Region.t), slot, (tgt : Region.t)) ->
-      Region.set_link from ~slot (Some tgt);
-      let incoming =
-        match Int_tbl.find_opt t.incoming_links tgt.Region.id with Some l -> l | None -> []
-      in
-      Int_tbl.replace t.incoming_links tgt.Region.id ((from, slot) :: incoming);
-      let through =
-        match Int_tbl.find_opt t.slot_links slot with Some l -> l | None -> []
-      in
-      Int_tbl.replace t.slot_links slot (from :: through))
-    links
+      if not (is_live from && is_live tgt) then
+        failwith "Code_cache.load: link between regions that are not live";
+      match dispatch.(slot) with
+      | Some d when d == tgt -> ()
+      | Some _ | None -> failwith "Code_cache.load: link slot does not dispatch to its target")
+    links;
+  fun () ->
+    t.next_id <- next_id;
+    t.bytes_used <- bytes_used;
+    t.alloc_cursor <- c.(2);
+    t.now <- c.(3);
+    t.clock_regressions <- clock_regressions;
+    t.evictions <- c.(5);
+    t.flushes <- c.(6);
+    t.regenerations <- c.(7);
+    t.invalidations <- c.(8);
+    t.blacklist_hits <- c.(9);
+    t.duplicate_installs <- c.(10);
+    t.translation_failures <- c.(11);
+    t.links_created <- c.(12);
+    t.link_severs <- c.(13);
+    t.live_links <- live_links;
+    Int_tbl.reset t.evicted_entries;
+    Int_tbl.reset t.incoming_links;
+    Int_tbl.reset t.slot_links;
+    Array.blit dispatch 0 t.dispatch 0 (Array.length dispatch);
+    t.n_live <- n_live;
+    t.fifo <- Queue.of_seq (List.to_seq fifo_regions);
+    t.fifo_tombstones <- fifo_tombstones;
+    t.retired <- retired;
+    List.iter (fun a -> Int_tbl.replace t.evicted_entries a ()) evicted;
+    List.iter (fun (from, slot, target) -> register_link t ~from ~slot ~target) links
 
 let save_blacklist t emit =
   emit t.fail_installs_until;
-  emit (Int_tbl.length t.blacklist);
-  List.iter
+  Snap.emit_list emit
     (fun (entry, b) ->
       emit entry;
       emit b.fails;
       emit b.until;
-      emit (if b.expire_traced then 1 else 0))
+      Snap.emit_bool emit b.expire_traced)
     (Int_tbl.sorted_pairs t.blacklist)
 
-let load_blacklist t read =
-  let fail_installs_until = read () in
-  let n = read_len read "blacklist" in
+let load_blacklist t r =
+  let fail_installs_until = Snap.int r in
   let entries =
-    List.init n (fun _ ->
-        let entry = read () in
-        let fails = read () in
-        let until = read () in
-        let expire_traced =
-          match read () with
-          | 0 -> false
-          | 1 -> true
-          | _ -> failwith "Code_cache.load_blacklist: bad flag"
-        in
-        if fails < 0 then failwith "Code_cache.load_blacklist: negative failure count";
-        (entry, { fails; until; expire_traced }))
+    Snap.list r (fun r ->
+        let entry = Snap.int r in
+        let fails = Snap.nat r in
+        let until = Snap.int r in
+        (entry, { fails; until; expire_traced = Snap.bool r }))
   in
-  Int_tbl.reset t.blacklist;
-  List.iter (fun (e, b) -> Int_tbl.replace t.blacklist e b) entries;
-  t.fail_installs_until <- fail_installs_until
+  fun () ->
+    Int_tbl.reset t.blacklist;
+    List.iter (fun (e, b) -> Int_tbl.replace t.blacklist e b) entries;
+    t.fail_installs_until <- fail_installs_until
 
 let reset_blacklist t =
   Int_tbl.reset t.blacklist;

@@ -213,21 +213,26 @@ val save : t -> (int -> unit) -> unit
     has its own section (see {!save_blacklist}) so it can degrade
     independently. *)
 
-val load : t -> (unit -> int) -> unit
-(** Restore a {!save} stream into a freshly created cache over the same
-    program.  Decode-then-commit: the stream is fully parsed and
-    cross-validated before the first mutation, so on [Failure] /
-    [Invalid_argument] the cache is untouched.  An aux-entry binding fails
-    the load unless it is a block start listed among the aux entries of a
-    live region, and no two live claims (entries or aux entries) may share
-    a block.  Emits no telemetry and fires no auditor. *)
+val load : t -> Snap.reader -> unit -> unit
+(** Decode a {!save} stream for a freshly created cache over the same
+    program and return the commit that installs it; on [Failure] /
+    [Invalid_argument] the cache is untouched.  The decode cross-checks
+    what the post-restore audit checks: an aux-entry binding must be a
+    block start listed among the aux entries of a live region; no two
+    live claims (entries or aux entries) may share a block; the clock
+    must never have run backwards; the byte count must equal the live
+    regions' bytes; the FIFO's live entries must be the live set, in
+    order, and its tombstone count its dead entries; and every link must
+    join two live regions through a slot that dispatches to its target.
+    Emits no telemetry and fires no auditor. *)
 
 val save_blacklist : t -> (int -> unit) -> unit
 (** Serialize the blacklist (per-entry failure counts, backoff deadlines)
     and the translation-failure window. *)
 
-val load_blacklist : t -> (unit -> int) -> unit
-(** Restore a {!save_blacklist} stream, replacing the current blacklist. *)
+val load_blacklist : t -> Snap.reader -> unit -> unit
+(** Decode a {!save_blacklist} stream; the returned commit replaces the
+    current blacklist. *)
 
 val reset_blacklist : t -> unit
 (** Forget every blacklist entry and any armed translation-failure window

@@ -37,23 +37,16 @@ let reset t = Int_tbl.reset t.table
    key-sorted emission keeps the bytes canonical regardless of layout. *)
 
 let save t emit =
-  emit (Int_tbl.length t.table);
-  List.iter
-    (fun (a, c) ->
-      emit a;
-      emit c)
-    (Int_tbl.sorted_pairs t.table);
+  Snap.emit_pairs emit (Int_tbl.sorted_pairs t.table);
   emit t.high_water;
   emit t.total_allocations
 
-let load t read =
-  Int_tbl.reset t.table;
-  let n = read () in
-  if n < 0 then failwith "Counters.load: negative table length";
-  for _ = 1 to n do
-    let a = read () in
-    let c = read () in
-    Int_tbl.replace t.table a c
-  done;
-  t.high_water <- read ();
-  t.total_allocations <- read ()
+let load t r =
+  let pairs = Snap.pairs r in
+  let high_water = Snap.int r in
+  let total_allocations = Snap.int r in
+  fun () ->
+    Int_tbl.reset t.table;
+    List.iter (fun (a, c) -> Int_tbl.replace t.table a c) pairs;
+    t.high_water <- high_water;
+    t.total_allocations <- total_allocations

@@ -43,5 +43,6 @@ val save : t -> (int -> unit) -> unit
 (** Checkpoint support: emit the live counters and the pool's lifetime
     statistics as a flat int stream. *)
 
-val load : t -> (unit -> int) -> unit
-(** Replace the pool's contents from a {!save} stream. *)
+val load : t -> Snap.reader -> unit -> unit
+(** Decode a {!save} stream; the returned commit replaces the pool's
+    contents. *)

@@ -121,32 +121,24 @@ let save t emit =
   Array.iter emit t.ring_counts;
   emit t.ring_live;
   emit t.flushes;
-  emit (Flat_tbl.length t.edges);
-  List.iter
-    (fun (key, count) ->
-      emit key;
-      emit count)
-    (Flat_tbl.sorted_pairs t.edges)
+  Snap.emit_pairs emit (Flat_tbl.sorted_pairs t.edges)
 
-let load t read =
-  if read () <> ring_size then failwith "Edge_profile.load: ring size mismatch";
-  for i = 0 to ring_size - 1 do
-    t.ring_keys.(i) <- read ()
-  done;
-  for i = 0 to ring_size - 1 do
-    t.ring_counts.(i) <- read ()
-  done;
-  t.ring_live <- read ();
-  if t.ring_live < 0 || t.ring_live > ring_size then
-    failwith "Edge_profile.load: ring occupancy out of range";
-  t.flushes <- read ();
-  let n = read () in
-  if n < 0 then failwith "Edge_profile.load: negative edge count";
+let load t r =
+  if Snap.int r <> ring_size then failwith "Edge_profile.load: ring size mismatch";
+  let ring_keys = Array.map (fun _ -> Snap.int r) t.ring_keys in
+  let ring_counts = Array.map (fun _ -> Snap.int r) t.ring_counts in
+  let ring_live = Snap.tag r ~n:(ring_size + 1) in
+  let flushes = Snap.int r in
+  let n = Snap.len r in
   let edges = Flat_tbl.create (max 4096 n) in
   for _ = 1 to n do
-    let key = read () in
-    let count = read () in
-    Flat_tbl.set edges key count
+    let key = Snap.int r in
+    Flat_tbl.set edges key (Snap.int r)
   done;
-  t.edges <- edges;
-  t.pred_index <- None
+  fun () ->
+    Array.blit ring_keys 0 t.ring_keys 0 ring_size;
+    Array.blit ring_counts 0 t.ring_counts 0 ring_size;
+    t.ring_live <- ring_live;
+    t.flushes <- flushes;
+    t.edges <- edges;
+    t.pred_index <- None

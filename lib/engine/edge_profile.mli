@@ -42,6 +42,6 @@ val save : t -> (int -> unit) -> unit
     accumulation ring verbatim (the ring is not drained, so the flush
     count — which bench reports — is unperturbed by a save). *)
 
-val load : t -> (unit -> int) -> unit
-(** Replace the profile's contents from a {!save} stream.  Raises
-    [Failure] on a structurally invalid stream. *)
+val load : t -> Snap.reader -> unit -> unit
+(** Decode a {!save} stream; the returned commit replaces the profile's
+    contents.  Raises [Failure] on a structurally invalid stream. *)

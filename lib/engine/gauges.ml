@@ -47,10 +47,12 @@ let save t emit =
   emit t.links;
   emit t.links_high_water
 
-let load t read =
-  t.observed_bytes <- read ();
-  t.high_water <- read ();
-  t.blacklisted <- read ();
-  t.blacklisted_high_water <- read ();
-  t.links <- read ();
-  t.links_high_water <- read ()
+let load t r =
+  let g = Array.init 6 (fun _ -> Snap.nat r) in
+  fun () ->
+    t.observed_bytes <- g.(0);
+    t.high_water <- g.(1);
+    t.blacklisted <- g.(2);
+    t.blacklisted_high_water <- g.(3);
+    t.links <- g.(4);
+    t.links_high_water <- g.(5)

@@ -40,5 +40,6 @@ val save : t -> (int -> unit) -> unit
 (** Checkpoint support: emit every gauge (current values and high-water
     marks) as a flat int stream. *)
 
-val load : t -> (unit -> int) -> unit
-(** Overwrite every gauge from a {!save} stream. *)
+val load : t -> Snap.reader -> unit -> unit
+(** Decode a {!save} stream; the returned commit overwrites every
+    gauge. *)

@@ -125,15 +125,16 @@ let save t emit =
   emit t.accesses;
   emit t.misses
 
-let load t read =
-  let n = read () in
-  if n <> Array.length t.tags then failwith "Icache.load: geometry mismatch";
-  for i = 0 to n - 1 do
-    t.tags.(i) <- read ()
-  done;
-  for i = 0 to n - 1 do
-    t.stamps.(i) <- read ()
-  done;
-  t.clock <- read ();
-  t.accesses <- read ();
-  t.misses <- read ()
+let load t r =
+  if Snap.int r <> Array.length t.tags then failwith "Icache.load: geometry mismatch";
+  let tags = Array.map (fun _ -> Snap.int r) t.tags in
+  let stamps = Array.map (fun _ -> Snap.int r) t.stamps in
+  let clock = Snap.int r in
+  let accesses = Snap.int r in
+  let misses = Snap.int r in
+  fun () ->
+    Array.blit tags 0 t.tags 0 (Array.length tags);
+    Array.blit stamps 0 t.stamps 0 (Array.length stamps);
+    t.clock <- clock;
+    t.accesses <- accesses;
+    t.misses <- misses

@@ -36,6 +36,7 @@ val save : t -> (int -> unit) -> unit
 (** Checkpoint support: emit tags, LRU stamps, and counters as a flat int
     stream.  Geometry is not saved. *)
 
-val load : t -> (unit -> int) -> unit
-(** Restore a {!save} stream into a cache created with the same geometry.
-    Raises [Failure] if the slot counts differ. *)
+val load : t -> Snap.reader -> unit -> unit
+(** Decode a {!save} stream for a cache created with the same geometry;
+    the returned commit restores it.  Raises [Failure] if the slot counts
+    differ. *)

@@ -169,13 +169,12 @@ let[@inline] step_into t (s : step) =
    branch-behaviour state created so far.  The op table is a pure function
    of the image and is recompiled by [create].
 
-   Restore materializes the saved behaviour states through the same lazy
-   constructors the step path uses — each creation splits the root PRNG,
-   exactly as it did in the original run — and then overwrites the root
-   limbs and every embedded stream with the saved values, so the order of
-   materialization cannot matter: every PRNG position ends up exactly as
-   saved, and sites that had not yet executed at the checkpoint will split
-   identical streams at their (unchanged) first execution. *)
+   Decoding builds the saved behaviour states detached from the root PRNG
+   (each from its site's spec, its position then overwritten with the
+   saved one), so the decode draws nothing from the run.  The commit
+   installs them and sets the root limbs: every PRNG position ends up
+   exactly as saved, and sites that had not yet executed at the checkpoint
+   will split identical streams at their (unchanged) first execution. *)
 
 let save_warm t emit =
   emit t.pc;
@@ -186,60 +185,46 @@ let save_warm t emit =
   let hi, lo = Splitmix.state t.prng in
   emit hi;
   emit lo;
-  let n = Program.n_blocks t.program in
-  for id = 0 to n - 1 do
-    match t.cond_states.(id) with
-    | None -> emit 0
-    | Some s ->
-      emit 1;
-      Behavior.save_state s emit
-  done;
-  for id = 0 to n - 1 do
-    match t.indirect_states.(id) with
-    | None -> emit 0
-    | Some s ->
-      emit 1;
-      Behavior.save_indirect s emit
-  done
+  let states save =
+    Array.iter (function
+      | None -> emit 0
+      | Some s ->
+        emit 1;
+        save s emit)
+  in
+  states Behavior.save_state t.cond_states;
+  states Behavior.save_indirect t.indirect_states
 
-let load_warm t read =
-  let pc = read () in
-  if not (Addr.is_none pc || Program.is_block_start t.program pc) then
-    failwith "Interp.load_warm: saved pc is not a block start";
-  let stack_len = read () in
-  if stack_len < 0 || stack_len > max_stack_depth then
-    failwith "Interp.load_warm: saved stack length out of range";
-  let stack = Array.make (max 64 stack_len) 0 in
-  for i = 0 to stack_len - 1 do
-    let a = read () in
+let load_warm t r =
+  let block_start a =
     if not (Program.is_block_start t.program a) then
-      failwith "Interp.load_warm: saved return address is not a block start";
-    stack.(i) <- a
-  done;
-  let hi = read () in
-  let lo = read () in
-  let n = Program.n_blocks t.program in
-  for id = 0 to n - 1 do
-    match read () with
-    | 0 -> ()
-    | 1 ->
-      let site = Block.last (Program.block_of_id t.program id) in
-      Behavior.load_state (cond_state t id site) read
-    | _ -> failwith "Interp.load_warm: bad cond-state presence flag"
-  done;
-  for id = 0 to n - 1 do
-    match read () with
-    | 0 -> ()
-    | 1 ->
-      let site = Block.last (Program.block_of_id t.program id) in
-      Behavior.load_indirect (indirect_state t id site) read
-    | _ -> failwith "Interp.load_warm: bad indirect-state presence flag"
-  done;
-  (* Only after every lazy materialization has drawn its split. *)
-  Splitmix.set_state t.prng ~hi ~lo;
-  t.pc <- pc;
-  t.stack <- stack;
-  t.stack_len <- stack_len
+      failwith "Interp.load_warm: saved pc or return address is not a block start";
+    a
+  in
+  let pc = match Snap.int r with a when Addr.is_none a -> a | a -> block_start a in
+  let saved = Snap.array r (fun r -> block_start (Snap.int r)) in
+  let stack_len = Array.length saved in
+  if stack_len > max_stack_depth then failwith "Interp.load_warm: saved stack too deep";
+  let stack = Array.append saved (Array.make (max 0 (64 - stack_len)) 0) in
+  let hi = Snap.tag r ~n:0x1_0000_0000 in
+  let lo = Snap.tag r ~n:0x1_0000_0000 in
+  let states specs read =
+    Array.init (Program.n_blocks t.program) (fun id ->
+        if not (Snap.bool r) then None
+        else
+          match Addr.Table.find_opt specs (Block.last (Program.block_of_id t.program id)) with
+          | Some spec -> Some (read spec r)
+          | None -> failwith "Interp.load_warm: saved state for a block with no such branch")
+  in
+  let conds = states t.image.Image.cond_specs Behavior.read_state in
+  let indirects = states t.image.Image.indirect_specs Behavior.read_indirect in
+  fun () ->
+    Array.blit conds 0 t.cond_states 0 (Array.length conds);
+    Array.blit indirects 0 t.indirect_states 0 (Array.length indirects);
+    Splitmix.set_state t.prng ~hi ~lo;
+    t.pc <- pc;
+    t.stack <- stack;
+    t.stack_len <- stack_len
 
 let block t (s : step) = Program.block_of_id t.program s.block_id
 let pc t = if Addr.is_none t.pc then None else Some t.pc

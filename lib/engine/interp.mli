@@ -50,12 +50,14 @@ val save_warm : t -> (int -> unit) -> unit
     The threaded-op table is not saved; it is a pure function of the
     image. *)
 
-val load_warm : t -> (unit -> int) -> unit
-(** Restore a {!save_warm} stream into a freshly created interpreter over
-    the same image.  Every PRNG position (root and per-site) ends up
-    exactly as saved, so the restored interpreter reproduces the original
-    run's remaining step stream bit for bit.  Raises [Failure] on a
-    structurally invalid stream. *)
+val load_warm : t -> Snap.reader -> unit -> unit
+(** Decode a {!save_warm} stream for a freshly created interpreter over
+    the same image and return the commit that installs it.  The decode
+    draws nothing from the interpreter's PRNG; after the commit every
+    PRNG position (root and per-site) is exactly as saved, so the
+    restored interpreter reproduces the original run's remaining step
+    stream bit for bit.  Raises [Failure] on a structurally invalid
+    stream. *)
 
 val pc : t -> Addr.t option
 (** The next block to execute. *)

@@ -16,7 +16,7 @@ module type S = sig
   val create : Context.t -> t
   val handle : t -> event -> action
   val save : t -> (int -> unit) -> unit
-  val load : Context.t -> (unit -> int) -> t
+  val load : Context.t -> Snap.reader -> t
 end
 
 type packed = Packed : (module S with type t = 'a) * 'a -> packed

@@ -55,11 +55,12 @@ module type S = sig
       (counters, pending formers, stored traces, history cursors) as a
       flat int stream.  A stateless policy emits nothing. *)
 
-  val load : Context.t -> (unit -> int) -> t
+  val load : Context.t -> Snap.reader -> t
   (** Rebuild a policy instance from a {!save} stream over the given
-      context.  [load ctx] of a stream saved by a fresh instance must
-      behave exactly like [create ctx].  Raises [Failure] on a
-      structurally invalid stream. *)
+      context, without touching the context: the simulator installs the
+      instance only once the whole section has decoded.  [load ctx] of a
+      stream saved by a fresh instance must behave exactly like
+      [create ctx].  Raises [Failure] on a structurally invalid stream. *)
 end
 
 type packed = Packed : (module S with type t = 'a) * 'a -> packed
@@ -71,6 +72,6 @@ val name : (module S) -> string
 val save : packed -> (int -> unit) -> unit
 (** {!S.save} through the packing. *)
 
-val load : (module S) -> Context.t -> (unit -> int) -> packed
+val load : (module S) -> Context.t -> Snap.reader -> packed
 (** {!S.load} through the packing: rebuild a packed instance of the given
     policy module from a saved stream. *)

@@ -349,11 +349,9 @@ let save t emit =
   emit t.id;
   emit t.selected_at;
   emit (match t.kind with Trace -> 0 | Combined -> 1 | Method -> 2);
-  emit t.n_nodes;
-  Array.iter (fun (b : Block.t) -> emit b.Block.start) t.node_blocks;
+  Snap.emit_array emit (fun (b : Block.t) -> emit b.Block.start) t.node_blocks;
   emit t.copied_insts;
   let edges = ref [] in
-  let n_edges = ref 0 in
   for s = t.n_nodes - 1 downto 0 do
     let hot = t.hot_succ_node.(s) in
     let row = ref [] in
@@ -361,45 +359,24 @@ let save t emit =
       if d <> hot && has_edge_nodes t ~src:s ~dst:d then row := d :: !row
     done;
     let row = if hot >= 0 then hot :: !row else !row in
-    List.iter
-      (fun d ->
-        incr n_edges;
-        edges := (s, d) :: !edges)
-      (List.rev row)
+    List.iter (fun d -> edges := (s, d) :: !edges) (List.rev row)
   done;
-  emit !n_edges;
-  List.iter
-    (fun (s, d) ->
-      emit s;
-      emit d)
-    !edges;
-  emit (Addr.Set.cardinal t.aux_entries);
-  Addr.Set.iter emit t.aux_entries;
+  Snap.emit_pairs emit !edges;
+  Snap.emit_list emit emit (Addr.Set.elements t.aux_entries);
   emit t.entries;
   emit t.cycle_iters;
   emit t.exits;
   emit t.insts_executed;
-  emit (Flat_tbl.length t.exit_log);
-  List.iter
-    (fun (key, count) ->
-      emit key;
-      emit count)
-    (Flat_tbl.sorted_pairs t.exit_log);
+  Snap.emit_pairs emit (Flat_tbl.sorted_pairs t.exit_log);
   emit t.cache_base
 
-let load ~program read =
-  let id = read () in
-  let selected_at = read () in
-  let kind =
-    match read () with
-    | 0 -> Trace
-    | 1 -> Combined
-    | 2 -> Method
-    | _ -> failwith "Region.load: bad kind tag"
-  in
-  let n = read () in
-  if n < 1 then failwith "Region.load: node count out of range";
-  let node_addrs = Array.init n (fun _ -> read ()) in
+let load ~program r =
+  let id = Snap.nat r in
+  let selected_at = Snap.int r in
+  let kind = [| Trace; Combined; Method |].(Snap.tag r ~n:3) in
+  let node_addrs = Snap.array r Snap.int in
+  let n = Array.length node_addrs in
+  if n < 1 then failwith "Region.load: no nodes";
   let blocks =
     Array.map
       (fun a ->
@@ -408,20 +385,15 @@ let load ~program read =
         Program.block_of_id program (Program.block_id program a))
       node_addrs
   in
-  let copied_insts = read () in
-  if copied_insts < 0 then failwith "Region.load: negative copied_insts";
-  let n_edges = read () in
-  if n_edges < 0 then failwith "Region.load: negative edge count";
+  let copied_insts = Snap.nat r in
   let edges =
-    List.init n_edges (fun _ ->
-        let s = read () in
-        let d = read () in
+    List.map
+      (fun (s, d) ->
         if s < 0 || s >= n || d < 0 || d >= n then failwith "Region.load: edge node out of range";
         (node_addrs.(s), node_addrs.(d)))
+      (Snap.pairs r)
   in
-  let n_aux = read () in
-  if n_aux < 0 then failwith "Region.load: negative aux-entry count";
-  let aux_entries = List.init n_aux (fun _ -> read ()) in
+  let aux_entries = Snap.list r Snap.int in
   let spec =
     {
       entry = node_addrs.(0);
@@ -434,18 +406,12 @@ let load ~program read =
     }
   in
   let t = of_spec ~id ~selected_at ~program spec in
-  t.entries <- read ();
-  t.cycle_iters <- read ();
-  t.exits <- read ();
-  t.insts_executed <- read ();
-  let n_exits = read () in
-  if n_exits < 0 then failwith "Region.load: negative exit-log length";
-  for _ = 1 to n_exits do
-    let key = read () in
-    let count = read () in
-    Flat_tbl.set t.exit_log key count
-  done;
-  t.cache_base <- read ();
+  t.entries <- Snap.int r;
+  t.cycle_iters <- Snap.int r;
+  t.exits <- Snap.int r;
+  t.insts_executed <- Snap.int r;
+  List.iter (fun (key, count) -> Flat_tbl.set t.exit_log key count) (Snap.pairs r);
+  t.cache_base <- Snap.int r;
   t
 
 let pp ppf t =

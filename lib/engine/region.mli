@@ -216,7 +216,7 @@ val save : t -> (int -> unit) -> unit
     counters, exit log, cache placement — as a flat int stream.  Link
     slots are not saved; the code cache re-registers links on restore. *)
 
-val load : program:Program.t -> (unit -> int) -> t
+val load : program:Program.t -> Snap.reader -> t
 (** Rebuild a saved region through {!of_spec} over the same program, so
     the compiled automaton (node numbering, offsets, adjacency, stub
     count) is recomputed and revalidated rather than trusted from the

@@ -47,13 +47,13 @@ type window_hook = {
    of warm state: the persistence layer frames, checksums and versions each
    one separately, so a torn or bit-flipped section degrades alone — its
    subsystem re-warms from scratch — instead of poisoning the whole
-   snapshot.  Loaders raise [Failure] on malformed streams and (apart from
-   the fault-cursor commit, which is ordered first) mutate nothing until
-   the stream has parsed. *)
+   snapshot.  A loader decodes its whole stream, raising [Failure] on a
+   malformed one, and returns the commit; nothing is mutated until the
+   persistence layer runs it. *)
 type section = {
   sec_name : string;
   sec_save : (int -> unit) -> unit;
-  sec_load : (unit -> int) -> unit;
+  sec_load : Snap.reader -> unit -> unit;
 }
 
 type internals = {
@@ -62,36 +62,11 @@ type internals = {
   int_sections : section list;
 }
 
-(* Floats ride the int stream as two 32-bit halves of their IEEE bits:
-   [Int64.to_int] of a full 64-bit pattern would lose the top bit. *)
-let emit_float emit f =
-  let bits = Int64.bits_of_float f in
-  emit (Int64.to_int (Int64.logand bits 0xFFFFFFFFL));
-  emit (Int64.to_int (Int64.shift_right_logical bits 32))
-
-let read_float read =
-  let lo = read () in
-  let hi = read () in
-  if lo < 0 || lo > 0xFFFFFFFF || hi < 0 || hi > 0xFFFFFFFF then
-    failwith "Simulator: malformed float in snapshot";
-  Int64.float_of_bits (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32))
-
 (* Stable codes for the fault-log labels ([Faults.label] plus the
    watchdog's own "bailout" entries). *)
 let ev_labels = [| "smc"; "translation"; "async-exit"; "shock"; "crash"; "bailout" |]
 
-let ev_label_code l =
-  let rec go i =
-    if i >= Array.length ev_labels then failwith ("Simulator: unknown event label " ^ l)
-    else if String.equal ev_labels.(i) l then i
-    else go (i + 1)
-  in
-  go 0
-
-let ev_label_of_code c =
-  if c < 0 || c >= Array.length ev_labels then
-    failwith "Simulator: bad event-label code in snapshot"
-  else ev_labels.(c)
+let ev_label_code l = Option.get (Array.find_index (String.equal l) ev_labels)
 
 (* The execution mode is a [Region.t ref] holding [Region.dummy] while
    interpreting, plus an int cell for the node id within the region
@@ -427,79 +402,60 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
     emit (if r == Region.dummy then -1 else r.Region.id);
     emit !dispatched_addr;
     emit !cur_node;
-    emit (if !halted then 1 else 0);
+    Snap.emit_bool emit !halted;
     emit !bail_until;
-    emit (if !bail_exit_pending then 1 else 0);
+    Snap.emit_bool emit !bail_exit_pending;
     emit !next_window;
-    emit_float emit !peak_share;
+    Snap.emit_float emit !peak_share;
     Stats.save_snapshot !window_start emit;
     (match faults with
     | None -> emit 0
     | Some f ->
       emit 1;
       emit (Faults.cursor f));
-    emit (List.length !ev_log);
-    List.iter
+    Snap.emit_list emit
       (fun (step, l) ->
         emit step;
         emit (ev_label_code l))
       !ev_log;
-    emit (List.length !sample_log);
-    List.iter
+    Snap.emit_list emit
       (fun (step, v) ->
         emit step;
-        emit_float emit v)
+        Snap.emit_float emit v)
       !sample_log;
-    emit (Flat_tbl.length links);
-    List.iter
-      (fun (k, v) ->
-        emit k;
-        emit v)
-      (Flat_tbl.sorted_pairs links)
+    Snap.emit_pairs emit (Flat_tbl.sorted_pairs links)
   in
-  let load_loop read =
-    let read_bool what =
-      match read () with
-      | 0 -> false
-      | 1 -> true
-      | _ -> failwith ("Simulator: bad flag in snapshot: " ^ what)
-    in
-    let rid = read () in
-    let addr = read () in
-    let node = read () in
-    let halted' = read_bool "halted" in
-    let bail_until' = read () in
-    let bail_exit_pending' = read_bool "bail-exit-pending" in
-    let next_window' = read () in
-    let peak_share' = read_float read in
-    let window_start' = Stats.load_snapshot read in
+  let load_loop r =
+    let rid = Snap.int r in
+    let addr = Snap.int r in
+    let node = Snap.int r in
+    let halted' = Snap.bool r in
+    let bail_until' = Snap.int r in
+    let bail_exit_pending' = Snap.bool r in
+    let next_window' = Snap.int r in
+    let peak_share' = Snap.float r in
+    let window_start' = Stats.load_snapshot r in
     let fault_cursor =
-      match read () with
-      | 0 -> None
-      | 1 -> Some (read ())
-      | _ -> failwith "Simulator: bad fault-cursor tag in snapshot"
-    in
-    let read_len what =
-      let n = read () in
-      if n < 0 then failwith ("Simulator: negative length in snapshot: " ^ what);
-      n
+      match (faults, Snap.bool r) with
+      | Some f, true -> Some (f, Snap.tag r ~n:(Faults.n_events f + 1))
+      | None, false -> None
+      | Some _, false | None, true ->
+        failwith "Simulator: snapshot fault profile does not match this run"
     in
     let ev_log' =
-      List.init (read_len "event log") (fun _ ->
-          let step = read () in
-          (step, ev_label_of_code (read ())))
+      Snap.list r (fun r ->
+          let step = Snap.int r in
+          (step, ev_labels.(Snap.tag r ~n:(Array.length ev_labels))))
     in
     let sample_log' =
-      List.init (read_len "sample log") (fun _ ->
-          let step = read () in
-          (step, read_float read))
+      Snap.list r (fun r ->
+          let step = Snap.int r in
+          (step, Snap.float r))
     in
     let link_pairs =
-      List.init (read_len "link table") (fun _ ->
-          let k = read () in
-          let v = read () in
-          if k < 0 || v < 0 then failwith "Simulator: negative link entry in snapshot";
-          (k, v))
+      Snap.list r (fun r ->
+          let k = Snap.nat r in
+          (k, Snap.nat r))
     in
     (* Resolve the mode refs against the restored cache.  A region id that
        no longer resolves (the cache section was dropped and re-warmed
@@ -508,38 +464,29 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
        always sets it before stepping reads it — so it is restored
        verbatim, like [dispatched_addr], to keep a re-encoded snapshot
        byte-identical to the one just loaded. *)
-    let region', node' =
-      if rid < 0 then (Region.dummy, node)
-      else
-        match Code_cache.region_by_id cache rid with
-        | None -> (Region.dummy, node)
-        | Some r ->
-          if node < 0 || node >= Array.length r.Region.node_blocks then
-            failwith "Simulator: region node out of range in snapshot";
-          (r, node)
+    let region' =
+      match Code_cache.region_by_id cache rid with
+      | Some r ->
+        if node < 0 || node >= Array.length r.Region.node_blocks then
+          failwith "Simulator: region node out of range in snapshot";
+        r
+      | None -> Region.dummy
     in
-    (* Commit.  The fault-cursor store goes first: [Faults.set_cursor] is
-       the only committing call that can raise, and failing before any ref
-       is written leaves the loop state untouched (fresh), which is the
-       degraded-section contract. *)
-    (match (faults, fault_cursor) with
-    | Some f, Some c -> Faults.set_cursor f c
-    | None, None -> ()
-    | Some _, None | None, Some _ ->
-      failwith "Simulator: snapshot fault profile does not match this run");
-    fault_next := (match faults with None -> max_int | Some f -> Faults.next_step f);
-    cur_region := region';
-    dispatched_addr := addr;
-    cur_node := node';
-    halted := halted';
-    bail_until := bail_until';
-    bail_exit_pending := bail_exit_pending';
-    next_window := next_window';
-    peak_share := peak_share';
-    window_start := window_start';
-    ev_log := ev_log';
-    sample_log := sample_log';
-    List.iter (fun (k, v) -> Flat_tbl.set links k v) link_pairs
+    fun () ->
+      Option.iter (fun (f, c) -> Faults.set_cursor f c) fault_cursor;
+      fault_next := (match faults with None -> max_int | Some f -> Faults.next_step f);
+      cur_region := region';
+      dispatched_addr := addr;
+      cur_node := node;
+      halted := halted';
+      bail_until := bail_until';
+      bail_exit_pending := bail_exit_pending';
+      next_window := next_window';
+      peak_share := peak_share';
+      window_start := window_start';
+      ev_log := ev_log';
+      sample_log := sample_log';
+      List.iter (fun (k, v) -> Flat_tbl.set links k v) link_pairs
   in
   let internals =
     let sec name save load = { sec_name = name; sec_save = save; sec_load = load } in
@@ -562,7 +509,9 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
           sec "blacklist" (Code_cache.save_blacklist cache) (Code_cache.load_blacklist cache);
           sec "policy"
             (fun emit -> Policy.save !policy emit)
-            (fun read -> policy := Policy.load policy_mod ctx read);
+            (fun r ->
+              let p = Policy.load policy_mod ctx r in
+              fun () -> policy := p);
         ]
         @ (match telemetry with
           | None -> []

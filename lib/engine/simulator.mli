@@ -88,11 +88,13 @@ type section = {
   sec_save : (int -> unit) -> unit;
       (** Serialize the section's current state as a flat int stream.  Pure
           observation: saving changes no simulated outcome. *)
-  sec_load : (unit -> int) -> unit;
-      (** Replace the section's state from a saved stream.  Raises
-          [Failure] on a malformed stream, in which case the section keeps
-          its fresh (run-start) state — the caller treats it as degraded
-          and the subsystem re-warms from scratch. *)
+  sec_load : Snap.reader -> unit -> unit;
+      (** Decode a saved stream and return the commit that replaces the
+          section's state with it.  The decode mutates nothing and raises
+          [Failure] on a malformed stream; the persistence layer runs the
+          commit only when the decode succeeded and consumed the stream
+          exactly.  So a degraded section keeps its fresh (run-start)
+          state and the subsystem re-warms from scratch. *)
 }
 (** One independently recoverable unit of warm state.  The persistence
     layer ([Regionsel_persist.Persist]) frames, checksums and versions

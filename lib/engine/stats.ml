@@ -112,41 +112,23 @@ let diff ~earlier ~later =
    order.  [save_snapshot]/[load_snapshot] serialize a frozen image the
    same way (the bailout watchdog's window baseline survives restore). *)
 
-let save t emit =
-  emit t.steps;
-  emit t.interpreted_insts;
-  emit t.cached_insts;
-  emit t.taken_branches;
-  emit t.region_transitions;
-  emit t.dispatches;
-  emit t.cache_exits_to_interp;
-  emit t.installs;
-  emit t.links;
-  emit t.link_hits;
-  emit t.node_steps;
-  emit t.install_rejects;
-  emit t.faults_injected;
-  emit t.async_exits;
-  emit t.bailouts;
-  emit t.recovery_steps
-
-let load t read =
-  t.steps <- read ();
-  t.interpreted_insts <- read ();
-  t.cached_insts <- read ();
-  t.taken_branches <- read ();
-  t.region_transitions <- read ();
-  t.dispatches <- read ();
-  t.cache_exits_to_interp <- read ();
-  t.installs <- read ();
-  t.links <- read ();
-  t.link_hits <- read ();
-  t.node_steps <- read ();
-  t.install_rejects <- read ();
-  t.faults_injected <- read ();
-  t.async_exits <- read ();
-  t.bailouts <- read ();
-  t.recovery_steps <- read ()
+let set t (s : Snapshot.t) =
+  t.steps <- s.Snapshot.steps;
+  t.interpreted_insts <- s.Snapshot.interpreted_insts;
+  t.cached_insts <- s.Snapshot.cached_insts;
+  t.taken_branches <- s.Snapshot.taken_branches;
+  t.region_transitions <- s.Snapshot.region_transitions;
+  t.dispatches <- s.Snapshot.dispatches;
+  t.cache_exits_to_interp <- s.Snapshot.cache_exits_to_interp;
+  t.installs <- s.Snapshot.installs;
+  t.links <- s.Snapshot.links;
+  t.link_hits <- s.Snapshot.link_hits;
+  t.node_steps <- s.Snapshot.node_steps;
+  t.install_rejects <- s.Snapshot.install_rejects;
+  t.faults_injected <- s.Snapshot.faults_injected;
+  t.async_exits <- s.Snapshot.async_exits;
+  t.bailouts <- s.Snapshot.bailouts;
+  t.recovery_steps <- s.Snapshot.recovery_steps
 
 let save_snapshot (s : Snapshot.t) emit =
   emit s.Snapshot.steps;
@@ -166,41 +148,32 @@ let save_snapshot (s : Snapshot.t) emit =
   emit s.Snapshot.bailouts;
   emit s.Snapshot.recovery_steps
 
-let load_snapshot read =
-  let steps = read () in
-  let interpreted_insts = read () in
-  let cached_insts = read () in
-  let taken_branches = read () in
-  let region_transitions = read () in
-  let dispatches = read () in
-  let cache_exits_to_interp = read () in
-  let installs = read () in
-  let links = read () in
-  let link_hits = read () in
-  let node_steps = read () in
-  let install_rejects = read () in
-  let faults_injected = read () in
-  let async_exits = read () in
-  let bailouts = read () in
-  let recovery_steps = read () in
+let load_snapshot r =
+  let c = Array.init 16 (fun _ -> Snap.int r) in
   {
-    Snapshot.steps;
-    interpreted_insts;
-    cached_insts;
-    taken_branches;
-    region_transitions;
-    dispatches;
-    cache_exits_to_interp;
-    installs;
-    links;
-    link_hits;
-    node_steps;
-    install_rejects;
-    faults_injected;
-    async_exits;
-    bailouts;
-    recovery_steps;
+    Snapshot.steps = c.(0);
+    interpreted_insts = c.(1);
+    cached_insts = c.(2);
+    taken_branches = c.(3);
+    region_transitions = c.(4);
+    dispatches = c.(5);
+    cache_exits_to_interp = c.(6);
+    installs = c.(7);
+    links = c.(8);
+    link_hits = c.(9);
+    node_steps = c.(10);
+    install_rejects = c.(11);
+    faults_injected = c.(12);
+    async_exits = c.(13);
+    bailouts = c.(14);
+    recovery_steps = c.(15);
   }
+
+let save t emit = save_snapshot (snapshot t) emit
+
+let load t r =
+  let s = load_snapshot r in
+  fun () -> set t s
 
 let total_insts t = t.interpreted_insts + t.cached_insts
 

@@ -71,11 +71,12 @@ val diff : earlier:Snapshot.t -> later:Snapshot.t -> Snapshot.t
 val save : t -> (int -> unit) -> unit
 (** Checkpoint support: emit every counter, in declaration order. *)
 
-val load : t -> (unit -> int) -> unit
-(** Overwrite every counter from a {!save} stream. *)
+val load : t -> Snap.reader -> unit -> unit
+(** Decode a {!save} stream; the returned commit overwrites every
+    counter. *)
 
 val save_snapshot : Snapshot.t -> (int -> unit) -> unit
-val load_snapshot : (unit -> int) -> Snapshot.t
+val load_snapshot : Snap.reader -> Snapshot.t
 
 val total_insts : t -> int
 

@@ -1,7 +1,6 @@
 open Regionsel_isa
 module Simulator = Regionsel_engine.Simulator
 module Context = Regionsel_engine.Context
-module Bitbuf = Regionsel_core.Bitbuf
 
 exception Hard_corruption of string
 
@@ -12,13 +11,11 @@ let clean r = r.degraded = []
 
 (* Section payloads are streams of ints, each as two 32-bit fields, low
    word first. *)
-let emit_int w v =
-  Bitbuf.Writer.add_bits w (Wire.lo_word v) 32;
-  Bitbuf.Writer.add_bits w (Wire.hi_word v) 32
-
-let read_int r =
-  let lo = Bitbuf.Reader.read_bits r 32 in
-  Wire.int63 ~hi:(Bitbuf.Reader.read_bits r 32) ~lo
+let payload_ints bytes ~pos ~len =
+  if len mod 8 <> 0 then failwith "payload is not a whole number of ints";
+  Array.init (len / 8) (fun i ->
+      let p = pos + (8 * i) in
+      Wire.int63 ~hi:(Wire.ru32 bytes (p + 4)) ~lo:(Wire.ru32 bytes p))
 
 let magic = "RSNP"
 let format_version = 1
@@ -72,9 +69,11 @@ let encode ~seed ~policy (internals : Simulator.internals) =
   Wire.bu32 buf (Wire.crc32 header ~pos:0 ~len:(Bytes.length header));
   List.iter
     (fun (s : Simulator.section) ->
-      let w = Bitbuf.Writer.create () in
-      s.Simulator.sec_save (emit_int w);
-      let payload = Bitbuf.Writer.contents w in
+      let w = Buffer.create 256 in
+      s.Simulator.sec_save (fun v ->
+          Wire.bu32 w (Wire.lo_word v);
+          Wire.bu32 w (Wire.hi_word v));
+      let payload = Buffer.to_bytes w in
       let plen = Bytes.length payload in
       let hdr = Bytes.create 12 in
       Wire.set_u32 hdr 0 (tag_of_section s.Simulator.sec_name);
@@ -170,14 +169,14 @@ let decode_into bytes ~seed ~policy (internals : Simulator.internals) =
           | Some s ->
             if sver <> section_version then
               drop sec_name (Printf.sprintf "unsupported section version %d" sver)
-            else begin
-            let r = Bitbuf.Reader.create ~pos:ppos bytes ~n_bits:(plen * 8) in
-            match s.Simulator.sec_load (fun () -> read_int r) with
-            | () -> restored := sec_name :: !restored
-            | exception Failure msg -> drop sec_name msg
-            | exception Invalid_argument msg -> drop sec_name msg
-            | exception Bitbuf.Reader.Out_of_bits -> drop sec_name "payload too short"
-          end
+            else
+              (* Decode, then commit: a section whose stream fails to parse,
+                 or leaves ints unread, is never applied. *)
+              match Snap.decode (payload_ints bytes ~pos:ppos ~len:plen) s.Simulator.sec_load with
+              | commit ->
+                commit ();
+                restored := sec_name :: !restored
+              | exception (Failure msg | Invalid_argument msg) -> drop sec_name msg
       end
     end
   done;

@@ -328,19 +328,13 @@ let reconcile_spans t ~step ~live =
 (* Checkpoint support.  The ring is serialized verbatim (written prefix
    only: after [head] events the touched physical slots are exactly
    [min head cap]), the span ledger by length so restore reproduces the
-   exact array geometry, and completed spans in list order.  [load] fills
-   an existing recorder so the caller controls capacity; a capacity
-   mismatch is a hard error because [head] indexes a specific ring
-   geometry. *)
+   exact array geometry, and completed spans in list order.  [load]
+   decodes for an existing recorder, so the caller controls capacity; a
+   capacity mismatch is a hard error because [head] indexes a specific
+   ring geometry. *)
 
 let cause_code = function Evicted -> 0 | Flushed -> 1 | Invalidated -> 2 | End_of_run -> 3
-
-let cause_of_code = function
-  | 0 -> Evicted
-  | 1 -> Flushed
-  | 2 -> Invalidated
-  | 3 -> End_of_run
-  | c -> failwith (Printf.sprintf "Telemetry.load: bad cause code %d" c)
+let causes = [| Evicted; Flushed; Invalidated; End_of_run |]
 
 let save_hist (h : Hist.h) emit =
   Array.iter emit h.Hist.counts;
@@ -348,15 +342,16 @@ let save_hist (h : Hist.h) emit =
   emit h.Hist.sum;
   emit h.Hist.max_value
 
-let load_hist (h : Hist.h) read =
-  for b = 0 to Array.length h.Hist.counts - 1 do
-    let c = read () in
-    if c < 0 then failwith "Telemetry.load: negative histogram bucket";
-    h.Hist.counts.(b) <- c
-  done;
-  h.Hist.count <- read ();
-  h.Hist.sum <- read ();
-  h.Hist.max_value <- read ()
+let load_hist (h : Hist.h) r =
+  let counts = Array.map (fun _ -> Snap.nat r) h.Hist.counts in
+  let count = Snap.int r in
+  let sum = Snap.int r in
+  let max_value = Snap.int r in
+  fun () ->
+    Array.blit counts 0 h.Hist.counts 0 (Array.length counts);
+    h.Hist.count <- count;
+    h.Hist.sum <- sum;
+    h.Hist.max_value <- max_value
 
 let save t emit =
   emit t.cap;
@@ -373,9 +368,8 @@ let save t emit =
   emit n;
   Array.iter emit t.open_at;
   Array.iter emit t.nodes_of;
-  Bytes.iter (fun c -> emit (Char.code c)) t.linked;
-  emit (List.length t.spans_rev);
-  List.iter
+  Bytes.iter (fun c -> Snap.emit_bool emit (c <> '\000')) t.linked;
+  Snap.emit_list emit
     (fun s ->
       emit s.id;
       emit s.installed_at;
@@ -384,49 +378,48 @@ let save t emit =
       emit s.n_nodes)
     t.spans_rev;
   emit t.installs;
-  emit (if t.finished then 1 else 0)
+  Snap.emit_bool emit t.finished
 
-let load t read =
-  let cap = read () in
+let load t r =
+  let cap = Snap.int r in
   if cap <> t.cap then
     failwith
       (Printf.sprintf "Telemetry.load: capacity mismatch (snapshot %d, recorder %d)" cap t.cap);
-  let head = read () in
-  if head < 0 then failwith "Telemetry.load: negative head";
-  let live_slots = min head cap * slots in
-  Array.fill t.buf 0 (Array.length t.buf) 0;
-  for i = 0 to live_slots - 1 do
-    t.buf.(i) <- read ()
-  done;
-  t.head <- head;
-  load_hist t.hist_residency read;
-  load_hist t.hist_first_link read;
-  load_hist t.hist_trace_length read;
-  load_hist t.hist_cooldown read;
-  let n = read () in
+  let head = Snap.nat r in
+  let ring = Array.init (min head cap * slots) (fun _ -> Snap.int r) in
+  let residency = load_hist t.hist_residency r in
+  let first_link = load_hist t.hist_first_link r in
+  let trace_length = load_hist t.hist_trace_length r in
+  let cooldown = load_hist t.hist_cooldown r in
+  let n = Snap.len r in
   if n < 1 then failwith "Telemetry.load: bad ledger size";
-  let open_at = Array.init n (fun _ -> read ()) in
-  let nodes_of = Array.init n (fun _ -> read ()) in
-  let linked = Bytes.init n (fun _ -> Char.chr (read () land 0xFF)) in
-  t.open_at <- open_at;
-  t.nodes_of <- nodes_of;
-  t.linked <- linked;
-  let n_spans = read () in
-  if n_spans < 0 then failwith "Telemetry.load: negative span count";
-  let spans_rev = ref [] in
-  for _ = 1 to n_spans do
-    let id = read () in
-    let installed_at = read () in
-    let retired_at = read () in
-    let cause = cause_of_code (read ()) in
-    let n_nodes = read () in
-    spans_rev := { id; installed_at; retired_at; cause; n_nodes } :: !spans_rev
-  done;
-  (* [spans_rev] was emitted in list order; re-consing reversed it, so one
-     more [List.rev] restores the original order. *)
-  t.spans_rev <- List.rev !spans_rev;
-  t.installs <- read ();
-  t.finished <- (match read () with 0 -> false | 1 -> true | _ -> failwith "Telemetry.load: bad finished flag")
+  let open_at = Array.init n (fun _ -> Snap.int r) in
+  let nodes_of = Array.init n (fun _ -> Snap.int r) in
+  let linked = Bytes.init n (fun _ -> if Snap.bool r then '\001' else '\000') in
+  let spans_rev =
+    Snap.list r (fun r ->
+        let id = Snap.int r in
+        let installed_at = Snap.int r in
+        let retired_at = Snap.int r in
+        let cause = causes.(Snap.tag r ~n:(Array.length causes)) in
+        { id; installed_at; retired_at; cause; n_nodes = Snap.int r })
+  in
+  let installs = Snap.int r in
+  let finished = Snap.bool r in
+  fun () ->
+    Array.fill t.buf 0 (Array.length t.buf) 0;
+    Array.blit ring 0 t.buf 0 (Array.length ring);
+    t.head <- head;
+    residency ();
+    first_link ();
+    trace_length ();
+    cooldown ();
+    t.open_at <- open_at;
+    t.nodes_of <- nodes_of;
+    t.linked <- linked;
+    t.spans_rev <- spans_rev;
+    t.installs <- installs;
+    t.finished <- finished
 
 let residency t = t.hist_residency
 let time_to_first_link t = t.hist_first_link

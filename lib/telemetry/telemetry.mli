@@ -178,7 +178,9 @@ val save : t -> (int -> unit) -> unit
     span ledger geometry, completed spans, counters — as a flat int
     stream. *)
 
-val load : t -> (unit -> int) -> unit
-(** Fill an existing recorder from a {!save} stream.  The recorder must
-    have been created at the same capacity as the saved one; raises
-    [Failure] on a capacity mismatch or a malformed stream. *)
+val load : t -> Snap.reader -> unit -> unit
+(** Decode a {!save} stream for an existing recorder and return the
+    commit that fills it; the recorder is untouched until the commit
+    runs.  The recorder must have been created at the same capacity as
+    the saved one; raises [Failure] on a capacity mismatch or a malformed
+    stream. *)

@@ -97,11 +97,11 @@ let choose = function
     tgt
 
 (* Checkpoint support: flatten a state's mutable position — PRNG limbs,
-   loop/pattern/phase cursors — into an int stream and restore it into a
-   freshly instantiated state of the same spec.  The structure (variant
-   shape, phase arity) comes from the spec at load time, so only the
-   mutables travel; a shape mismatch means the stream does not belong to
-   this spec and raises [Failure]. *)
+   loop/pattern/phase cursors — into an int stream.  The structure
+   (variant shape, phase arity) comes from the spec, so only the mutables
+   travel.  Decoding builds a state detached from the run: a scratch
+   generator feeds the spec's splits and the saved limbs then overwrite
+   them, so the state depends on the spec and the stream alone. *)
 
 let rec save_state st emit =
   match st with
@@ -117,32 +117,27 @@ let rec save_state st emit =
     emit s.left;
     Array.iter (fun (_, inner) -> save_state inner emit) s.phases
 
-let rec load_state st read =
+let read_prng g r =
+  let hi = Snap.tag r ~n:0x1_0000_0000 in
+  Splitmix.set_state g ~hi ~lo:(Snap.tag r ~n:0x1_0000_0000)
+
+let rec read_position st r =
   match st with
   | S_const _ -> ()
-  | S_bernoulli s ->
-    let hi = read () in
-    let lo = read () in
-    Splitmix.set_state s.prng ~hi ~lo
-  | S_loop s ->
-    let left = read () in
-    if left < 0 || left >= s.trip then failwith "Behavior.load_state: loop cursor out of range";
-    s.left <- left
-  | S_pattern s ->
-    let pos = read () in
-    if pos < 0 || pos >= Array.length s.pattern then
-      failwith "Behavior.load_state: pattern cursor out of range";
-    s.pos <- pos
+  | S_bernoulli s -> read_prng s.prng r
+  | S_loop s -> s.left <- Snap.tag r ~n:s.trip
+  | S_pattern s -> s.pos <- Snap.tag r ~n:(Array.length s.pattern)
   | S_phased s ->
-    let phase = read () in
-    let left = read () in
-    if phase < 0 || phase >= Array.length s.phases then
-      failwith "Behavior.load_state: phase index out of range";
-    let len, _ = s.phases.(phase) in
-    if left < 1 || left > len then failwith "Behavior.load_state: phase cursor out of range";
-    s.phase <- phase;
-    s.left <- left;
-    Array.iter (fun (_, inner) -> load_state inner read) s.phases
+    s.phase <- Snap.tag r ~n:(Array.length s.phases);
+    let len, _ = s.phases.(s.phase) in
+    s.left <- Snap.int r;
+    if s.left < 1 || s.left > len then failwith "Behavior: phase cursor out of range";
+    Array.iter (fun (_, inner) -> read_position inner r) s.phases
+
+let read_state spec r =
+  let st = make_state spec (Splitmix.create ~seed:0L) in
+  read_position st r;
+  st
 
 let save_indirect st emit =
   match st with
@@ -152,17 +147,12 @@ let save_indirect st emit =
     emit lo
   | I_round_robin s -> emit s.pos
 
-let load_indirect st read =
-  match st with
-  | I_weighted s ->
-    let hi = read () in
-    let lo = read () in
-    Splitmix.set_state s.prng ~hi ~lo
-  | I_round_robin s ->
-    let pos = read () in
-    if pos < 0 || pos >= Array.length s.targets then
-      failwith "Behavior.load_indirect: cursor out of range";
-    s.pos <- pos
+let read_indirect spec r =
+  let st = make_indirect spec (Splitmix.create ~seed:0L) in
+  (match st with
+  | I_weighted s -> read_prng s.prng r
+  | I_round_robin s -> s.pos <- Snap.tag r ~n:(Array.length s.targets));
+  st
 
 let rec pp_spec ppf = function
   | Always_taken -> Format.pp_print_string ppf "always"

@@ -43,13 +43,15 @@ val make_indirect : indirect_spec -> Regionsel_prng.Splitmix.t -> indirect_state
 val choose : indirect_state -> Addr.t
 
 (** Checkpoint support: serialize a state's mutable position (PRNG limbs
-    and cursors) as a flat int stream, and restore it into a state freshly
-    instantiated from the same spec.  Loading validates cursors against
-    the spec's structure and raises [Failure] on a mismatch. *)
+    and cursors) as a flat int stream, and decode one into a new state of
+    the given spec.  A decoded state is detached from any run's root
+    PRNG: it depends on the spec and the stream alone.  Decoding
+    validates cursors against the spec's structure and raises [Failure]
+    on a mismatch. *)
 
 val save_state : state -> (int -> unit) -> unit
-val load_state : state -> (unit -> int) -> unit
+val read_state : spec -> Snap.reader -> state
 val save_indirect : indirect_state -> (int -> unit) -> unit
-val load_indirect : indirect_state -> (unit -> int) -> unit
+val read_indirect : indirect_spec -> Snap.reader -> indirect_state
 
 val pp_spec : Format.formatter -> spec -> unit

@@ -684,22 +684,11 @@ let cache_matches_model =
           expect_retired "regions" (List.map fst !live) (Code_cache.regions cache);
           expect "n_regions" (Code_cache.n_regions cache = List.length !live))
         ops;
-      let dump c =
-        let out = ref [] in
-        Code_cache.save c (fun v -> out := v :: !out);
-        List.rev !out
-      in
-      let saved = dump cache in
+      let saved = Snap.ints (Code_cache.save cache) in
       let restored = Code_cache.create ~program () in
-      let rest = ref saved in
-      Code_cache.load restored (fun () ->
-          match !rest with
-          | v :: tl ->
-            rest := tl;
-            v
-          | [] -> failwith "short stream");
+      Snap.decode saved (Code_cache.load restored) ();
       Check.audit_cache ~program restored ~step:(List.length ops);
-      expect "save/load round trip" (dump restored = saved);
+      expect "save/load round trip" (Snap.ints (Code_cache.save restored) = saved);
       true)
 
 let suite =

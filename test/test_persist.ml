@@ -210,6 +210,43 @@ let crc32_frame bytes ~hpos ~ppos ~plen =
 let reseal bytes fpos plen =
   set_u32 bytes (fpos + 12) (crc32_frame bytes ~hpos:fpos ~ppos:(fpos + 16) ~plen)
 
+(* The stable section tags (Persist's tag table). *)
+let section_tags =
+  [
+    ("interp", 1); ("stats", 2); ("edges", 3); ("icache", 4); ("counters", 5); ("gauges", 6);
+    ("cache", 7); ("blacklist", 8); ("policy", 9); ("telemetry", 10); ("loop", 11);
+  ]
+
+let frame_of bytes section =
+  let tag = List.assoc section section_tags in
+  List.find (fun (t, _, _) -> t = tag) (frames bytes)
+
+(* A section's payload as ints: two 32-bit words each, low word first. *)
+let payload_ints bytes section =
+  let _, fpos, plen = frame_of bytes section in
+  Array.init (plen / 8) (fun i ->
+      let p = fpos + 16 + (8 * i) in
+      (get_u32 bytes (p + 4) lsl 32) lor get_u32 bytes p)
+
+(* The snapshot with one section's payload replaced by [ints] and its
+   frame re-sealed: a CRC-valid forgery. *)
+let with_payload bytes section ints =
+  let _, fpos, plen = frame_of bytes section in
+  let payload = Bytes.create (8 * Array.length ints) in
+  Array.iteri
+    (fun i v ->
+      set_u32 payload (8 * i) (v land 0xFFFF_FFFF);
+      set_u32 payload ((8 * i) + 4) ((v asr 32) land 0x7FFF_FFFF))
+    ints;
+  let rest = fpos + 16 + plen in
+  let out =
+    Bytes.concat Bytes.empty
+      [ Bytes.sub bytes 0 (fpos + 16); payload; Bytes.sub bytes rest (Bytes.length bytes - rest) ]
+  in
+  set_u32 out (fpos + 8) (Bytes.length payload);
+  reseal out fpos (Bytes.length payload);
+  out
+
 let mk_snapshot () =
   let image = figure2 ~iters:4_000 () in
   let policy = "lei" and seed = 7L in
@@ -404,30 +441,16 @@ let degraded_restore_still_finishes () =
   check_true "re-warmed cache selected regions again" (m.Run_metrics.n_regions > 0)
 
 (* A CRC-valid snapshot whose cache section is forged: a cache built by
-   hand over figure2's program (method regions with aux entries, no links,
-   no retirements) is saved, [forged_tail] replaces the tail of its stream —
-   the aux-entry bindings, then the empty evicted-entry and link lists —
-   and the result is sealed into a real run's snapshot in place of the
-   run's own cache section. *)
-let forged_cache_snapshot ?forged_tail ~build ~tail () =
-  let forged_tail = Option.value forged_tail ~default:tail in
+   hand over figure2's program is saved, [forge] edits its int stream, and
+   the result is sealed into a real run's snapshot in place of the run's
+   own cache section. *)
+let forged_cache_snapshot ~build ~forge () =
   let image = figure2 ~iters:4_000 () in
   let policy = "jit-method" and seed = 7L and params = Params.default in
   let program = image.Image.program in
   let donor = Code_cache.create ~program () in
   build donor;
-  let stream = ref [] in
-  Code_cache.save donor (fun v -> stream := v :: !stream);
-  (* [!stream] is reversed: its first [List.length tail] ints are the tail. *)
-  let rev_prefix =
-    List.fold_left
-      (fun rest expected ->
-        match rest with
-        | v :: rest when v = expected -> rest
-        | _ -> Alcotest.fail "the cache stream does not end with the expected tail")
-      !stream (List.rev tail)
-  in
-  let forged = List.rev_append rev_prefix forged_tail in
+  let forged = forge (Snap.ints (Code_cache.save donor)) in
   let bytes = ref None in
   let checkpoint =
     ( 1,
@@ -436,7 +459,7 @@ let forged_cache_snapshot ?forged_tail ~build ~tail () =
           List.map
             (fun (sec : Simulator.section) ->
               if sec.Simulator.sec_name = "cache" then
-                { sec with Simulator.sec_save = (fun emit -> List.iter emit forged) }
+                { sec with Simulator.sec_save = (fun emit -> Array.iter emit forged) }
               else sec)
             internals.Simulator.int_sections
         in
@@ -447,11 +470,30 @@ let forged_cache_snapshot ?forged_tail ~build ~tail () =
       : Simulator.result);
   decode_fresh (image, policy, seed, params, Option.get !bytes)
 
-(* Aux-entry bindings are validated on load: one that is not a block
-   start, or that collides with another region's claim, degrades the cache
-   section (and the post-restore audit in [decode_fresh] passes) instead
-   of restoring a cache the audit would convict. *)
-let forged_aux_binding_degrades_cache () =
+(* [retail ~tail ~by] replaces the stream's last ints, which must be
+   [tail], by [by]; [bump i d] adds [d] to the int at index [i] ([i < 0]
+   counts from the end). *)
+let retail ~tail ~by ints =
+  let n = Array.length ints - List.length tail in
+  if n < 0 || Array.to_list (Array.sub ints n (List.length tail)) <> tail then
+    Alcotest.fail "the cache stream does not end with the expected tail";
+  Array.append (Array.sub ints 0 n) (Array.of_list by)
+
+let bump i d ints =
+  let ints = Array.copy ints in
+  let i = if i < 0 then Array.length ints + i else i in
+  ints.(i) <- ints.(i) + d;
+  ints
+
+(* The cache section is cross-checked on load against everything the
+   post-restore audit checks: an aux binding that is not a block start or
+   collides with another claim, a byte count or FIFO tombstone count that
+   disagrees with the live set, a live-link count that disagrees with the
+   link list, and a link whose target is not live or whose slot dispatches
+   elsewhere each degrade the cache section (and the audit in
+   [decode_fresh] passes) instead of restoring a cache the audit would
+   convict. *)
+let forged_cache_section_degrades () =
   let open Regionsel_isa in
   let module Region = Regionsel_engine.Region in
   (* Block starts of figure2's program; block 1 is two instructions long,
@@ -460,39 +502,159 @@ let forged_aux_binding_degrades_cache () =
   let s = Array.map (fun (b : Block.t) -> b.Block.start) (Program.blocks program) in
   let install cache ~entry ~nodes ~aux =
     let nodes = List.map (Program.block_of_id program) nodes in
-    ignore
-      (Code_cache.install_exn cache
-         {
-           Region.entry = s.(entry);
-           nodes;
-           edges = [];
-           copied_insts = List.fold_left (fun acc (b : Block.t) -> acc + b.Block.size) 0 nodes;
-           kind = Region.Method;
-           aux_entries = List.map (fun i -> s.(i)) aux;
-           layout_hint = [];
-         })
+    Code_cache.install_exn cache
+      {
+        Region.entry = s.(entry);
+        nodes;
+        edges = [];
+        copied_insts = List.fold_left (fun acc (b : Block.t) -> acc + b.Block.size) 0 nodes;
+        kind = Region.Method;
+        aux_entries = List.map (fun i -> s.(i)) aux;
+        layout_hint = [];
+      }
   in
   (* Region #0 at block 0, with block 1 as a bound aux entry. *)
-  let one cache = install cache ~entry:0 ~nodes:[ 0; 1 ] ~aux:[ 1 ] in
+  let one cache = ignore (install cache ~entry:0 ~nodes:[ 0; 1 ] ~aux:[ 1 ] : Region.t) in
   (* Region #0 owns block 1 as its entry; region #1 at block 0 lists block
      1 as an aux entry, which stays unbound. *)
   let two cache =
-    install cache ~entry:1 ~nodes:[ 1 ] ~aux:[];
-    install cache ~entry:0 ~nodes:[ 0; 1 ] ~aux:[ 1 ]
+    ignore (install cache ~entry:1 ~nodes:[ 1 ] ~aux:[] : Region.t);
+    ignore (install cache ~entry:0 ~nodes:[ 0; 1 ] ~aux:[ 1 ] : Region.t)
   in
-  let report = forged_cache_snapshot ~build:one ~tail:[ 1; s.(1); 0; 0; 0 ] () in
-  check_true "the unforged cache section restores" (not (List.mem "cache" (sections_of report)));
-  let report =
-    forged_cache_snapshot ~build:one ~tail:[ 1; s.(1); 0; 0; 0 ]
-      ~forged_tail:[ 1; s.(1) + 1; 0; 0; 0 ] ()
+  (* Region #0 at block 2 links through slot 3 to region #1 at block 3;
+     region #2 at block 4 is invalidated, leaving a FIFO tombstone. *)
+  let linked cache =
+    let a = install cache ~entry:2 ~nodes:[ 2 ] ~aux:[] in
+    let b = install cache ~entry:3 ~nodes:[ 3 ] ~aux:[] in
+    ignore (install cache ~entry:4 ~nodes:[ 4 ] ~aux:[] : Region.t);
+    Code_cache.add_link cache ~from:a ~slot:3 ~target:b;
+    ignore (Code_cache.invalidate_range cache ~lo:s.(4) ~hi:s.(4) : Region.t list)
   in
-  Alcotest.(check (list string)) "a non-block-start binding degrades the cache" [ "cache" ]
-    (sections_of report);
-  let report =
-    forged_cache_snapshot ~build:two ~tail:[ 0; 0; 0 ] ~forged_tail:[ 1; s.(1); 1; 0; 0 ] ()
+  let check_forged what ~build ~forge =
+    Alcotest.(check (list string)) what [ "cache" ]
+      (sections_of (forged_cache_snapshot ~build ~forge ()))
   in
-  Alcotest.(check (list string)) "a colliding binding degrades the cache" [ "cache" ]
-    (sections_of report)
+  List.iter
+    (fun build ->
+      check_true "the unforged cache section restores"
+        (not (List.mem "cache" (sections_of (forged_cache_snapshot ~build ~forge:Fun.id ())))))
+    [ one; two; linked ];
+  check_forged "a non-block-start binding degrades the cache" ~build:one
+    ~forge:(retail ~tail:[ 1; s.(1); 0; 0; 0 ] ~by:[ 1; s.(1) + 1; 0; 0; 0 ]);
+  check_forged "a colliding binding degrades the cache" ~build:two
+    ~forge:(retail ~tail:[ 0; 0; 0 ] ~by:[ 1; s.(1); 1; 0; 0 ]);
+  (* Stream layout: next_id, bytes_used, …, live_links (14),
+     fifo_tombstones (15); the link triple (from, slot, target) ends it. *)
+  check_forged "bytes_used off by 8 degrades the cache" ~build:linked ~forge:(bump 1 8);
+  check_forged "a tombstone count off by one degrades the cache" ~build:linked
+    ~forge:(bump 15 1);
+  check_forged "a live-link count off by one degrades the cache" ~build:linked
+    ~forge:(bump 14 1);
+  check_forged "a link to a retired region degrades the cache" ~build:linked
+    ~forge:(bump (-1) 1);
+  check_forged "a link through a slot that dispatches elsewhere degrades the cache"
+    ~build:linked ~forge:(bump (-2) (-1))
+
+(* A degraded section keeps its fresh state.  For each of the eleven
+   sections, a snapshot whose payload for that section is cut short (and
+   re-sealed) restores with that section degraded — and, for the gauges,
+   the policy whose stored traces they count — and every degraded section
+   then re-encodes byte-for-byte like a never-restored run's. *)
+let degraded_section_is_fresh () =
+  let image = figure2 ~iters:4_000 () in
+  let policy = "combined-lei" and seed = 7L and params = Params.default in
+  let _, bytes = capture ~at:11_000 ~params ~policy ~seed ~max_steps:30_000 image in
+  let sections (internals : Simulator.internals) =
+    List.map
+      (fun (s : Simulator.section) -> (s.Simulator.sec_name, Snap.ints s.Simulator.sec_save))
+      internals.Simulator.int_sections
+  in
+  let create ?restore () =
+    Simulator.create ~params ~seed
+      ~telemetry:(Some (Telemetry.create ()))
+      ?restore ~policy:(policy_exn policy) ~max_steps:30_000 image
+  in
+  let fresh = sections (Simulator.internals (create ())) in
+  check_int "every section is under test" 11 (List.length fresh);
+  List.iter
+    (fun (name, _) ->
+      let ints = payload_ints bytes name in
+      let n = Array.length ints in
+      List.iter
+        (fun keep ->
+          let mutant = with_payload bytes name (Array.sub ints 0 keep) in
+          let restore internals =
+            let report = Persist.decode_into mutant ~seed ~policy internals in
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s cut to %d of %d ints degrades" name keep n)
+              (if name = "gauges" then [ name; "policy" ] else [ name ])
+              (sections_of report);
+            List.iter
+              (fun d ->
+                if List.assoc d (sections internals) <> List.assoc d fresh then
+                  Alcotest.failf "%s cut to %d of %d ints: %s is degraded but not fresh" name
+                    keep n d)
+              (sections_of report)
+          in
+          ignore (create ~restore () : Simulator.t))
+        (List.sort_uniq compare [ min 3 (n - 1); n - 1 ]))
+    fresh
+
+(* Hostile counts degrade instead of allocating: a count field set to 2^40
+   in a re-sealed section is rejected against the ints left in the stream
+   (or, for the combined-NET bucket count, against the program) before
+   anything is sized from it. *)
+let hostile_counts_degrade () =
+  let image = figure2 ~iters:4_000 () in
+  let seed = 7L and params = Params.default in
+  let snapshot policy =
+    (policy, snd (capture ~at:11_000 ~params ~policy ~seed ~max_steps:30_000 image))
+  in
+  let lei = snapshot "combined-lei" and net = snapshot "combined-net" in
+  (* Index just past an observation store's stream starting at [i]:
+     bytes, entry count, then per entry its address, trace count and
+     traces (entry, bit length, byte count, bytes). *)
+  let store_end a i =
+    let pos = ref (i + 2) in
+    for _ = 1 to a.(i + 1) do
+      let n_traces = a.(!pos + 1) in
+      pos := !pos + 2;
+      for _ = 1 to n_traces do
+        pos := !pos + 3 + a.(!pos + 2)
+      done
+    done;
+    !pos
+  in
+  let at_least what i a =
+    check_true what (a.(i) > 0);
+    i
+  in
+  List.iter
+    (fun (what, (policy, bytes), section, index) ->
+      let ints = payload_ints bytes section in
+      ints.(index ints) <- 1 lsl 40;
+      let report = decode_fresh (image, policy, seed, params, with_payload bytes section ints) in
+      Alcotest.(check (list string)) (what ^ " of 2^40 degrades " ^ section) [ section ]
+        (sections_of report))
+    [
+      (* ring size, ring keys and counts, occupancy, flushes, edge count *)
+      ("edge count", lei, "edges", fun a -> 3 + (2 * a.(0)));
+      (* sixteen counters, then the region count *)
+      ("region count", lei, "cache", fun _ -> 16);
+      (* the first region's id, selection step and kind, then its node count *)
+      ("region node count", lei, "cache", fun a -> 4 + at_least "a region is cached" 16 a);
+      (* capacity, head, the written ring slots, four 67-int histograms *)
+      ("span ledger size", lei, "telemetry", fun a -> 2 + (4 * min a.(0) a.(1)) + (4 * 67));
+      ("stored trace count", lei, "policy", fun a -> 2 + at_least "a trace is stored" 1 a);
+      ("compact trace length", lei, "policy", fun a -> 5 + at_least "a trace is stored" 1 a);
+      ( "bucket count",
+        net,
+        "policy",
+        fun a ->
+          let i = store_end a (if a.(0) = 1 then 2 else 1) in
+          check_true "found the bucket count" (a.(i) >= 16);
+          i );
+    ]
 
 (* ---- qcheck properties ---- *)
 
@@ -552,20 +714,10 @@ let qcheck_history_buffer_roundtrip =
       (match seqs with
       | s :: _ :: _ when capacity mod 2 = 0 -> History_buffer.truncate_after t ~seq:s
       | _ -> ());
-      let dump u =
-        let acc = ref [] in
-        History_buffer.save u (fun v -> acc := v :: !acc);
-        List.rev !acc
-      in
-      let saved = dump t in
+      let saved = Snap.ints (History_buffer.save t) in
       let t' = History_buffer.create ~capacity in
-      let arr = Array.of_list saved in
-      let i = ref 0 in
-      History_buffer.load t' (fun () ->
-          let v = arr.(!i) in
-          incr i;
-          v);
-      dump t' = saved
+      Snap.decode saved (History_buffer.load t');
+      Snap.ints (History_buffer.save t') = saved
       && List.for_all
            (fun tgt -> History_buffer.find t tgt = History_buffer.find t' tgt)
            (List.init 21 Fun.id))
@@ -655,7 +807,9 @@ let suite =
     case "truncation degrades tail sections" truncation_degrades_tail_sections;
     case "header damage is hard corruption" header_damage_is_hard_corruption;
     case "degraded restore still finishes" degraded_restore_still_finishes;
-    case "forged aux binding degrades the cache" forged_aux_binding_degrades_cache;
+    case "forged aux binding degrades the cache" forged_cache_section_degrades;
+    case "degraded section is fresh" degraded_section_is_fresh;
+    case "hostile counts degrade" hostile_counts_degrade;
     QCheck_alcotest.to_alcotest qcheck_reencode_identity;
     QCheck_alcotest.to_alcotest qcheck_history_buffer_roundtrip;
     case "snapshot corruption axis" snapshot_corruption_axis;
