@@ -1068,12 +1068,13 @@ let prefill_matrix () =
   in
   List.iter (fun ((spec : Spec.t), _) -> ignore (Spec.image spec)) todo;
   let results =
-    Domain_pool.map
-      (fun ((spec : Spec.t), pname) ->
-        let policy = Option.get (Policies.find pname) in
-        Run_metrics.of_result
-          (Simulator.run ~seed:1L ~policy ~max_steps:(budget spec) (Spec.image spec)))
-      todo
+    Domain_pool.with_pool (fun pool ->
+        Domain_pool.map pool
+          (fun ((spec : Spec.t), pname) ->
+            let policy = Option.get (Policies.find pname) in
+            Run_metrics.of_result
+              (Simulator.run ~seed:1L ~policy ~max_steps:(budget spec) (Spec.image spec)))
+          todo)
   in
   List.iter2
     (fun ((spec : Spec.t), pname) m -> Hashtbl.replace cache (spec.Spec.name, pname) m)

@@ -243,7 +243,8 @@ let with_error_reporting f =
    back in submission order, so output is identical to a sequential run. *)
 let parallel_map_specs f tasks =
   List.iter (fun ((spec : Spec.t), _) -> ignore (Spec.image spec)) tasks;
-  Domain_pool.map (fun ((spec : Spec.t), x) -> f spec x) tasks
+  Domain_pool.with_pool (fun pool ->
+      Domain_pool.map pool (fun ((spec : Spec.t), x) -> f spec x) tasks)
 
 let run_cmd =
   let run bench policy steps seed faults trace_out check save_state at_step restore_state

@@ -1,10 +1,21 @@
-(** Ordered parallel map over OCaml 5 domains.
+(** A persistent pool of OCaml 5 domains: ordered parallel map and
+    work-stealing iteration.
 
-    Simulation runs are embarrassingly parallel — every run allocates its
-    own interpreter, profiles, and code cache — so the benchmark × policy
-    matrix fans out across cores with no shared mutable state.  Results are
-    returned in submission order, which keeps downstream consumers (tables,
-    memoization caches, CSV export) byte-identical to a sequential run. *)
+    {!create} spawns [n_domains - 1] workers once; between rounds they
+    park on a condition variable.  Each {!iter} or {!map} call is one
+    round: it wakes the workers, runs the same stealing loop on the
+    calling domain, and returns once every worker has checked in (a full
+    barrier).  A round of at most one element, or any round on a
+    one-domain pool, runs inline on the caller, left to right, and wakes
+    no one.  If a task raises, no further tasks start, and the first
+    exception (in completion order) is re-raised on the caller with its
+    backtrace after every worker has checked in; the pool stays usable.
+    Pools must be closed (the runtime caps live domains), and a pool is
+    driven by one domain at a time, never from inside its own round.
+
+    Tasks must not depend on unforced {!Stdlib.Lazy} values shared
+    between them: force those on the calling domain first (see
+    {!Regionsel_workload.Spec.image}). *)
 
 val default_n_domains : unit -> int
 (** The [REGIONSEL_DOMAINS] environment variable if set, otherwise
@@ -14,26 +25,29 @@ val default_n_domains : unit -> int
 
     @raise Invalid_argument if the variable is set but not an integer. *)
 
-val map : ?n_domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~n_domains f tasks] applies [f] to every task, using up to
-    [n_domains] domains (the calling domain participates as a worker), and
-    returns the results in the order the tasks were given.
+type t
 
-    With [n_domains <= 1] — or a single task — everything runs inline on
-    the calling domain with no spawns, so single-core environments pay
-    nothing.  If any [f] raises, the first exception (in completion order)
-    is re-raised on the caller after all domains have joined, and no
-    further tasks are started.
+val create : ?n_domains:int -> unit -> t
+(** A pool of [n_domains] domains (default {!default_n_domains}, at least
+    1), the caller included: a one-domain pool spawns nothing. *)
 
-    [f] must not depend on unforced {!Stdlib.Lazy} values shared between
-    tasks: force them on the calling domain first (see
-    {!Regionsel_workload.Spec.image}). *)
+val close : t -> unit
+(** Wake and join the workers.  Idempotent. *)
 
-val iter : ?n_domains:int -> ('a -> unit) -> 'a array -> unit
-(** [iter ~n_domains f tasks] applies [f] to every array element once, with
-    the same work-stealing, inline-when-sequential and first-exception
-    semantics as {!map}.  Each element is claimed by exactly one domain, so
-    [f] may freely mutate state owned by its own element (the multi-stream
-    scheduler's batch advance); the array itself is only read.  All effects
-    of every [f] call happen before [iter] returns (the join is a full
-    barrier). *)
+val with_pool : ?n_domains:int -> (t -> 'a) -> 'a
+(** [with_pool f] runs [f] on a fresh pool and closes it on every exit. *)
+
+val size : t -> int
+(** Worker domains spawned: [n_domains - 1] while open, 0 once closed. *)
+
+val iter : t -> ('a -> unit) -> 'a array -> unit
+(** [iter pool f tasks] applies [f] to every element once.  Each element
+    is claimed by exactly one domain, so [f] may mutate state its own
+    element owns (the multi-stream engine's batch advance).
+    @raise Invalid_argument if the pool is closed. *)
+
+val map : t -> ('a -> 'b) -> 'a list -> 'b list
+(** [map pool f tasks] is one {!iter} round that returns the results in
+    submission order whichever domain ran which task, so output built
+    from them is deterministic by construction.
+    @raise Invalid_argument if the pool is closed. *)

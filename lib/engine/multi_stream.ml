@@ -1,16 +1,5 @@
-(* The domain-sharded multi-stream scheduler.
-
-   N tenants — independent simulations with their own policy, stats,
-   telemetry sink, fault schedule and PRNG stream — advance in bounded
-   batches over a work-stealing Domain_pool.iter.  All per-run state is
-   domain-local while a batch runs (a handle is owned by whichever domain
-   claimed it); domains meet only at the batch barrier, where the main
-   domain walks the tenants in submission order to rebalance cache quotas.
-   That discipline makes the schedule deterministic: every cross-tenant
-   decision is a pure function of the barrier states, which do not depend
-   on how the batches were interleaved across domains, so the outcome is
-   bit-identical whatever [n_domains] — and, with no budget, bit-identical
-   to running each tenant alone. *)
+(* The domain-sharded multi-stream scheduler; the determinism argument
+   and the quota contract are in multi_stream.mli. *)
 
 type tenant = {
   t_name : string;
@@ -138,7 +127,7 @@ module Engine = struct
     | Duplicate_tenant name -> Printf.sprintf "tenant %S already admitted" name
 
   type t = {
-    e_n_domains : int option;
+    e_pool : Domain_pool.t;  (* parked between rounds; joined by [close] *)
     e_batch_steps : int;
     e_budget : int option;
     e_quota_floor : int;
@@ -157,7 +146,7 @@ module Engine = struct
     | Some _ | None -> ());
     if quota_floor < 0 then invalid_arg "Multi_stream.Engine.create: negative quota floor";
     {
-      e_n_domains = n_domains;
+      e_pool = Domain_pool.create ?n_domains ();
       e_batch_steps = batch_steps;
       e_budget = budget_bytes;
       e_quota_floor = quota_floor;
@@ -166,6 +155,8 @@ module Engine = struct
       e_members = [];
       e_rounds = 0;
     }
+
+  let close t = Domain_pool.close t.e_pool
 
   let member_sims t = Array.of_list (List.map snd t.e_members)
 
@@ -210,22 +201,19 @@ module Engine = struct
 
   let round t ~limit =
     let participants =
-      List.filter
+      List.filter_map
         (fun (name, sim) ->
-          (not (Simulator.exhausted sim)) && limit ~name ~sim > Simulator.steps sim)
+          let upto = min (limit ~name ~sim) (Simulator.steps sim + t.e_batch_steps) in
+          if Simulator.exhausted sim || upto <= Simulator.steps sim then None
+          else Some ((name, sim), upto))
         t.e_members
     in
     if participants = [] then false
     else begin
       t.e_rounds <- t.e_rounds + 1;
-      let bounds =
-        Array.of_list
-          (List.map (fun (name, sim) -> (sim, limit ~name ~sim)) participants)
-      in
-      Domain_pool.iter ?n_domains:t.e_n_domains
-        (fun (sim, lim) ->
-          Simulator.advance sim ~upto:(min lim (Simulator.steps sim + t.e_batch_steps)))
-        bounds;
+      Domain_pool.iter t.e_pool
+        (fun ((_, sim), upto) -> Simulator.advance sim ~upto)
+        (Array.of_list participants);
       rebalance_now t;
       (* Barrier observation (metrics sampling) runs last, on the main
          domain, over this round's participants in submission order —
@@ -235,50 +223,46 @@ module Engine = struct
          [n_domains]. *)
       (match t.e_on_barrier with
       | None -> ()
-      | Some fn -> fn ~round:t.e_rounds (Array.of_list participants));
+      | Some fn -> fn ~round:t.e_rounds (Array.of_list (List.map fst participants)));
       true
     end
 end
 
-let unbounded ~name:_ ~sim:_ = max_int
-
 let run ?n_domains ?(batch_steps = 4096) ?budget_bytes ?on_barrier tenants =
-  match tenants with
-  | [] ->
-    (* Validate even the no-op outcome's arguments. *)
-    ignore (Engine.create ?n_domains ~batch_steps ?budget_bytes ?on_barrier ());
-    { results = []; rounds = 0; quota_rejects = 0; quota_evictions = 0 }
-  | tenants ->
-    let eng = Engine.create ?n_domains ~batch_steps ?budget_bytes ?on_barrier () in
-    let sims =
-      List.map
-        (fun t ->
-          let sim =
-            Simulator.create ?params:t.t_params ?seed:t.t_seed ?telemetry:t.t_telemetry
-              ~policy:t.t_policy ~max_steps:t.t_max_steps t.t_image
-          in
-          (* [push], not [admit]: a batch run has no admission policy, and
-             its contract tolerates duplicate tenant names. *)
-          Engine.push eng ~name:t.t_name sim;
-          sim)
-        tenants
-    in
-    while Engine.round eng ~limit:unbounded do
-      ()
-    done;
-    (* Finalization (end-of-run checkpoints, edge-profile flushes) happens
-       on the main domain, in tenant order. *)
-    let results = List.map2 (fun t sim -> (t.t_name, Simulator.finish sim)) tenants sims in
-    let quota_rejects =
-      List.fold_left
-        (fun acc (_, (r : Simulator.result)) ->
-          acc + Code_cache.quota_rejects r.Simulator.ctx.Context.cache)
-        0 results
-    in
-    let quota_evictions =
-      List.fold_left
-        (fun acc (_, (r : Simulator.result)) ->
-          acc + Code_cache.quota_evictions r.Simulator.ctx.Context.cache)
-        0 results
-    in
-    { results; rounds = Engine.rounds eng; quota_rejects; quota_evictions }
+  (* More domains than tenants would only park: cap the pool at the fleet. *)
+  let n_domains =
+    min (List.length tenants)
+      (match n_domains with Some d -> d | None -> Domain_pool.default_n_domains ())
+  in
+  let eng = Engine.create ~n_domains ~batch_steps ?budget_bytes ?on_barrier () in
+  Fun.protect ~finally:(fun () -> Engine.close eng) @@ fun () ->
+  let sims =
+    List.map
+      (fun t ->
+        let sim =
+          Simulator.create ?params:t.t_params ?seed:t.t_seed ?telemetry:t.t_telemetry
+            ~policy:t.t_policy ~max_steps:t.t_max_steps t.t_image
+        in
+        (* [push], not [admit]: a batch run has no admission policy, and
+           its contract tolerates duplicate tenant names. *)
+        Engine.push eng ~name:t.t_name sim;
+        sim)
+      tenants
+  in
+  while Engine.round eng ~limit:(fun ~name:_ ~sim:_ -> max_int) do
+    ()
+  done;
+  (* Finalization (end-of-run checkpoints, edge-profile flushes) happens
+     on the main domain, in tenant order. *)
+  let results = List.map2 (fun t sim -> (t.t_name, Simulator.finish sim)) tenants sims in
+  let total count =
+    List.fold_left
+      (fun acc (_, (r : Simulator.result)) -> acc + count r.Simulator.ctx.Context.cache)
+      0 results
+  in
+  {
+    results;
+    rounds = Engine.rounds eng;
+    quota_rejects = total Code_cache.quota_rejects;
+    quota_evictions = total Code_cache.quota_evictions;
+  }

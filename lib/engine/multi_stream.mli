@@ -2,14 +2,15 @@
 
     Multiplexes N independent tenant simulations — each with its own
     policy, stats, telemetry sink, fault schedule and PRNG stream — over
-    OCaml 5 domains in bounded step batches ({!Domain_pool.iter} work
-    stealing).  A run handle is owned by whichever domain is advancing it;
-    domains synchronize only at batch barriers, where the main domain
-    walks the tenants in submission order.  Every cross-tenant decision is
-    a pure function of the barrier states, so the outcome is bit-identical
-    whatever [n_domains] — and with no shared budget the tenants are fully
-    independent: each tenant's result is bit-identical to running it alone
-    through {!Simulator.run} (guarded by the multi-stream parity suite).
+    OCaml 5 domains in bounded step batches (work stealing over the
+    engine's own persistent {!Domain_pool}).  A run handle is owned by
+    whichever domain is advancing it; domains synchronize only at batch
+    barriers, where the main domain walks the tenants in submission
+    order.  Every cross-tenant decision is a pure function of the barrier
+    states, so the outcome is bit-identical whatever [n_domains] — and
+    with no shared budget the tenants are fully independent: each
+    tenant's result is bit-identical to running it alone through
+    {!Simulator.run} (guarded by the multi-stream parity suite).
 
     With [budget_bytes], the tenants share a global code-cache byte
     budget.  Each barrier recomputes per-tenant quotas from the barrier
@@ -67,7 +68,9 @@ val run :
   outcome
 (** [run tenants] advances every tenant to completion in [batch_steps]
     batches (default 4096) over up to [n_domains] domains (default
-    {!Domain_pool.default_n_domains}).  An empty list is a no-op outcome.
+    {!Domain_pool.default_n_domains}), capped at the tenant count.  An
+    empty list is a no-op outcome.  The pool is created for the run and
+    joined before [run] returns or raises.
 
     [on_barrier] is the metrics observation point: called on the main
     domain at the end of every round — after the batch advance joins and
@@ -97,7 +100,11 @@ val run :
 
     Determinism carries over: admissions, retirements and limits are main
     -domain decisions between rounds, and within a round the outcome is a
-    pure function of the barrier states, whatever [n_domains]. *)
+    pure function of the barrier states, whatever [n_domains].
+
+    An engine owns a {!Domain_pool} for its whole life: {!Engine.create}
+    spawns [n_domains - 1] workers, which park between rounds, and
+    {!Engine.close} joins them. *)
 module Engine : sig
   type admission_reject =
     | Tenants_saturated of { limit : int }
@@ -124,6 +131,11 @@ module Engine : sig
       knobs; the rest are {!run}'s parameters with the same defaults.
       @raise Invalid_argument as {!run}, or on a negative floor. *)
 
+  val close : t -> unit
+  (** Join the engine's worker domains.  Idempotent; members stay
+      readable, but a later {!round} with work to do raises
+      [Invalid_argument]. *)
+
   val admit : t -> name:string -> Simulator.t -> (unit, admission_reject) result
   (** Add a tenant, in submission order.  On success the quotas are
       rebalanced immediately, so the newcomer holds its fair share
@@ -146,6 +158,7 @@ module Engine : sig
       ~sim] (an absolute step bound — the daemon passes the number of
       ingested events).  Each advances by at most [batch_steps], the
       quotas rebalance, and [on_barrier] observes the participants, as
-      in {!run}.  [false] — with no round counted and no barrier hook —
+      in {!run}; a round with one participant runs inline and wakes no
+      worker.  [false] — with no round counted and no barrier hook —
       when no tenant could advance. *)
 end

@@ -1,42 +1,7 @@
-(* The streaming region-selection daemon.
-
-   One process, one Unix-domain listening socket, one event loop.  Each
-   client connection either streams a tenant (Hello, Events*, Fin) or
-   issues control commands (Ctrl) — see [Proto].  Tenant simulations are
-   multiplexed through [Multi_stream.Engine]: between socket activity the
-   loop runs batch-barrier rounds, each tenant bounded by the events its
-   connection has ingested so far, so a replay stream is never run dry
-   (which would falsely read as a program halt).
-
-   Flow control is two-sided.  Admission control answers Hello with a
-   typed Reject when tenant slots or the shared cache budget saturate
-   (the engine's typed admission rejects).  Backpressure bounds each
-   connection's ingest backlog: when a tenant's unconsumed events exceed
-   [ingest_max], the loop simply stops selecting its socket for reads —
-   the kernel buffer fills, the client's writes block, and nothing here
-   buffers unboundedly; reads resume once the backlog drains below half
-   the bound (hysteresis, so a tenant hovering at the bound does not
-   flap in and out of the read set).  An exhausted simulation (step
-   budget spent, or the program halted) is the one exception: it can
-   never drain its backlog, so its connection is never paused — the
-   remaining events (bounded by the client's recording) are absorbed so
-   the Fin behind them can be read and the tenant finished.
-
-   Sends never block the loop either: outgoing frames are queued per
-   connection and flushed through the writability set of the main
-   select, so a peer that stops draining its socket — say a control
-   client that requested a megabytes-long export and went away — stalls
-   only its own replies.  A connection whose unsent queue passes
-   [send_max] is dropped.
-
-   Sessions survive both disconnects and daemon restarts: a tenant's
-   warm state is snapshotted through [Persist.save_file] (atomic, CRC'd,
-   the PR 7 identity machinery) on disconnect and on SIGTERM/SIGINT, and
-   restored when the same (tenant, bench, policy, seed) identity says
-   Hello again.  The snapshot does not carry the replay cursor; instead
-   Welcome tells the client how many events the restored run has already
-   consumed and the client resends from there — that re-alignment is
-   what makes a resumed run bit-identical to an uninterrupted one. *)
+(* The streaming region-selection daemon: one [Unix.select] loop over a
+   listening socket, streaming and control connections, and the
+   multi-stream engine.  Admission, backpressure, send queues and session
+   resume are specified in server.mli. *)
 
 module Simulator = Regionsel_engine.Simulator
 module Branch_stream = Regionsel_engine.Branch_stream
@@ -658,11 +623,19 @@ let serve cfg =
     Sys.set_signal Sys.sigterm old_term;
     Sys.set_signal Sys.sigint old_int
   in
+  (* Every exit — a clean stop, a signal, ctrl shutdown or a crash —
+     snapshots each attached tenant so it can resume after restart, then
+     joins the engine's worker domains. *)
+  let shutdown () =
+    snapshot_all t;
+    Multi_stream.Engine.close engine;
+    cleanup t;
+    restore_signals ()
+  in
   (try loop t stop
    with e ->
-     (* kill -TERM semantics apply to crashes too: every live tenant is
-        snapshotted before the daemon goes down, and a sanitizer
-        violation additionally dumps the flight recorder. *)
+     let bt = Printexc.get_raw_backtrace () in
+     (* A sanitizer violation additionally dumps the flight recorder. *)
      (match e with
      | Check.Check_violation v ->
        let path = Filename.concat cfg.state_dir "flight.jsonl" in
@@ -673,12 +646,6 @@ let serve cfg =
        in
        Printf.eprintf "regionsel_daemon: flight recorder: %d windows -> %s\n%!" n path
      | _ -> ());
-     snapshot_all t;
-     cleanup t;
-     restore_signals ();
-     raise e);
-  (* Clean shutdown (signal or ctrl command): snapshot every attached
-     tenant so it can resume after restart. *)
-  snapshot_all t;
-  cleanup t;
-  restore_signals ()
+     shutdown ();
+     Printexc.raise_with_backtrace e bt);
+  shutdown ()

@@ -57,8 +57,9 @@ val wants_read : backlog:int -> high:int -> paused:bool -> bool
 
 val serve : config -> unit
 (** Bind, listen and run until a SIGTERM/SIGINT or a [shutdown] control
-    command; on the way out every attached tenant is snapshotted and the
-    socket is unlinked.  Replaces the process's SIGTERM/SIGINT/SIGPIPE
+    command; on the way out (a crash included) every attached tenant is
+    snapshotted, the engine's worker domains are joined and the socket
+    is unlinked.  Replaces the process's SIGTERM/SIGINT/SIGPIPE
     handlers for the duration.
     @raise Invalid_argument on a non-positive [batch_steps]/[ingest_max].
     @raise Regionsel_check.Check.Check_violation after dumping the flight

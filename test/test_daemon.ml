@@ -373,47 +373,75 @@ let disconnect_then_reconnect_is_bit_identical () =
                 (Sys.readdir state)))
       | Client.Truncated _ -> Alcotest.fail "unexpected truncation")
 
+(* SIGTERM, then wait for the exit with a deadline: a worker domain that
+   is never joined must fail the test, not hang it. *)
+let stop_daemon_within ?(timeout = 5.0) pid =
+  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+  let status = ref None in
+  let exited () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ -> false
+    | _, st ->
+      status := Some st;
+      true
+  in
+  if not (eventually ~timeout exited) then begin
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    ignore (Unix.waitpid [] pid)
+  end;
+  !status
+
 let sigterm_snapshots_and_restart_resumes () =
   let dir = fresh_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
+      (* The daemon runs on 2 domains. *)
       let pid, socket_path = start_daemon ~dir () in
-      (* Attach a tenant and leave the connection OPEN mid-stream, so the
-         SIGTERM path (not the disconnect path) must snapshot it. *)
-      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX socket_path);
-      Proto.write_msg fd
-        (Proto.Hello
-           { h_tenant = "alpha"; h_bench = bench; h_policy = "net"; h_seed = seed;
-             h_max_steps = steps });
-      (match Proto.read_msg fd with
-      | Some (Proto.Welcome { resume_step = 0; _ }) -> ()
-      | _ -> Alcotest.fail "expected a fresh welcome");
-      let events = Lazy.force recorded_events in
-      let body = Regionsel_persist.Event_log.encode_batch ~program:(program ()) events ~pos:0 ~len:3000 in
-      Proto.write_msg fd (Proto.Events body);
+      (* Attach two tenants and leave both connections OPEN mid-stream, so
+         rounds have two participants and the SIGTERM path (not the
+         disconnect path) must snapshot them. *)
+      let attach tenant =
+        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX socket_path);
+        Proto.write_msg fd
+          (Proto.Hello
+             { h_tenant = tenant; h_bench = bench; h_policy = "net"; h_seed = seed;
+               h_max_steps = steps });
+        (match Proto.read_msg fd with
+        | Some (Proto.Welcome { resume_step = 0; _ }) -> ()
+        | _ -> Alcotest.fail "expected a fresh welcome");
+        let events = Lazy.force recorded_events in
+        let body = Regionsel_persist.Event_log.encode_batch ~program:(program ()) events ~pos:0 ~len:3000 in
+        Proto.write_msg fd (Proto.Events body);
+        fd
+      in
+      let fds = List.map attach [ "alpha"; "beta" ] in
       (* Let the engine ingest and advance a little before the kill. *)
       Unix.sleepf 0.3;
-      let status = stop_daemon pid in
-      check_true "daemon exited cleanly on SIGTERM" (status = Unix.WEXITED 0);
-      Unix.close fd;
+      check_true "daemon exited cleanly on SIGTERM, within the deadline"
+        (stop_daemon_within pid = Some (Unix.WEXITED 0));
+      List.iter Unix.close fds;
       let state = Filename.concat dir "state" in
-      check_true "SIGTERM snapshotted the attached tenant"
-        (Array.exists
-           (fun f -> Filename.check_suffix f ".session")
-           (Sys.readdir state));
-      (* Restart over the same state dir; the tenant resumes and finishes
+      check_int "SIGTERM snapshotted both attached tenants" 2
+        (List.length
+           (List.filter
+              (fun f -> Filename.check_suffix f ".session")
+              (Array.to_list (Sys.readdir state))));
+      (* Restart over the same state dir; each tenant resumes and finishes
          bit-identically to an uninterrupted run. *)
       let pid, socket_path = start_daemon ~dir () in
       Fun.protect
         ~finally:(fun () -> ignore (stop_daemon pid))
         (fun () ->
-          match stream ~socket_path ~tenant:"alpha" () with
-          | Client.Finished json ->
-            Alcotest.(check string) "restarted daemon resumes bit-identically"
-              (solo_json ()) json
-          | Client.Truncated _ -> Alcotest.fail "unexpected truncation"))
+          List.iter
+            (fun tenant ->
+              match stream ~socket_path ~tenant () with
+              | Client.Finished json ->
+                Alcotest.(check string) "restarted daemon resumes bit-identically"
+                  (solo_json ()) json
+              | Client.Truncated _ -> Alcotest.fail "unexpected truncation")
+            [ "alpha"; "beta" ]))
 
 let admission_rejects_are_typed () =
   with_daemon ~max_tenants:1 (fun ~dir:_ ~socket_path ->

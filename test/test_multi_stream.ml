@@ -178,6 +178,45 @@ let handle_semantics () =
        (Run_metrics.of_result (Simulator.run ~seed:1L ~policy ~max_steps:5_000 image)))
     (Run_metrics.to_json (Run_metrics.of_result a))
 
+(* Every run joins its pool, also when a barrier hook raises: 200 runs
+   of each kind on 2 domains would pass the runtime's 128-domain limit if
+   either kind left its worker running. *)
+exception Hook_failed
+
+let pools_are_joined () =
+  let spec = Option.get (Suite.find "gzip") in
+  let policy = Option.get (Policies.find "net") in
+  let pair () =
+    List.init 2 (fun i ->
+        Multi_stream.tenant ~seed:(Int64.of_int (i + 1)) ~policy ~max_steps:300
+          ~name:(string_of_int i) (Spec.image spec))
+  in
+  for _ = 1 to 200 do
+    check_int "both tenants finish" 2
+      (List.length (Multi_stream.run ~n_domains:2 ~batch_steps:100 (pair ())).results);
+    check_true "hook exception reaches the caller"
+      (try
+         ignore
+           (Multi_stream.run ~n_domains:2 ~batch_steps:100
+              ~on_barrier:(fun ~round:_ _ -> raise Hook_failed)
+              (pair ()));
+         false
+       with Hook_failed -> true)
+  done;
+  let eng = Multi_stream.Engine.create ~n_domains:2 () in
+  List.iter
+    (fun name ->
+      let sim = Simulator.create ~policy ~max_steps:300 (Spec.image spec) in
+      ignore (Multi_stream.Engine.admit eng ~name sim))
+    [ "a"; "b" ];
+  Multi_stream.Engine.close eng;
+  Multi_stream.Engine.close eng;
+  check_true "round after close rejected"
+    (try
+       ignore (Multi_stream.Engine.round eng ~limit:(fun ~name:_ ~sim:_ -> max_int));
+       false
+     with Invalid_argument _ -> true)
+
 let suite =
   [
     case "merged fleet == sequential solo runs (bit-identical)" merged_equals_sequential;
@@ -187,4 +226,5 @@ let suite =
     case "shared budget bounds the aggregate footprint" budget_bounds_aggregate;
     case "edge cases" edge_cases;
     case "resumable handle semantics" handle_semantics;
+    case "every run joins its pool, also on an exception" pools_are_joined;
   ]

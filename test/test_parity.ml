@@ -54,7 +54,10 @@ let sequential_vs_parallel () =
   (* Images are lazy: force them on this domain before fanning out. *)
   List.iter (fun ((spec : Spec.t), _) -> ignore (Spec.image spec)) tasks;
   let reference = List.map (fun (spec, p) -> run spec p) tasks in
-  let pooled = Domain_pool.map ~n_domains:4 (fun (spec, p) -> run spec p) tasks in
+  let pooled =
+    Domain_pool.with_pool ~n_domains:4 (fun pool ->
+        Domain_pool.map pool (fun (spec, p) -> run spec p) tasks)
+  in
   check_pairwise ~what:"parallel (4 domains)" reference pooled
 
 (* The fault layer's zero-fault guarantee: enabling the machinery with an
