@@ -127,12 +127,12 @@ let run_seed ?(max_steps = 4000) seed =
    flips, truncations, garbage tails), which mostly stop at a frame CRC,
    and resealed mutants, whose section ints are edited, truncated,
    extended or given a huge count before the writer seals them, so the
-   section decoders see hostile input.  Admissible outcomes: a clean
-   restore, a degraded restore, or [Persist.Hard_corruption].  Anything
-   else — an unhandled exception, an auditor conviction, a degraded
-   section that is not fresh, or a "clean" restore of the unmutated
-   snapshot that silently diverges — is a failure of the recovery
-   path. *)
+   section decoders see hostile input, or spliced in a second time, so
+   the frame walk does.  Admissible outcomes: a clean restore, a
+   degraded restore, or [Persist.Hard_corruption].  Anything else — an
+   unhandled exception, an auditor conviction, a degraded section that
+   is not fresh, or a "clean" restore of the unmutated snapshot that
+   silently diverges — is a failure of the recovery path. *)
 
 type snapshot_outcome = Snapshot_clean | Snapshot_degraded of int | Snapshot_rejected
 
@@ -149,7 +149,8 @@ let section_ints (internals : Simulator.internals) =
     internals.Simulator.int_sections
 
 (* One resealed mutant: a section's ints edited before [Persist.encode]
-   frames and checksums them. *)
+   frames and checksums them, or, for a splice, an edited copy appended
+   after the last section: a repeated, out-of-order frame. *)
 let resealed_mutant g ~seed ~policy (internals : Simulator.internals) =
   let sections = Array.of_list (section_ints internals) in
   let name, ints = sections.(Splitmix.int g (Array.length sections)) in
@@ -160,19 +161,21 @@ let resealed_mutant g ~seed ~policy (internals : Simulator.internals) =
     a
   in
   let kind, ints =
-    match Splitmix.int g 4 with
+    match Splitmix.int g 5 with
     | 0 when n > 0 -> ("edit", set (Splitmix.int g 64 - 16))
     | 1 when n > 0 -> ("truncate", Array.sub ints 0 (Splitmix.int g n))
     | 3 when n > 0 -> ("huge", set (1 lsl 40))
+    | 4 when n > 0 -> ("splice", set (Splitmix.int g 64 - 16))
     | _ -> ("extend", Array.append ints (Array.init (1 + Splitmix.int g 8) (fun _ -> Splitmix.int g 64)))
   in
+  let resealed (s : Simulator.section) =
+    { s with Simulator.sec_save = (fun emit -> Array.iter emit ints) }
+  in
   let int_sections =
-    List.map
-      (fun (s : Simulator.section) ->
-        if String.equal s.Simulator.sec_name name then
-          { s with Simulator.sec_save = (fun emit -> Array.iter emit ints) }
-        else s)
-      internals.Simulator.int_sections
+    let named (s : Simulator.section) = String.equal s.Simulator.sec_name name in
+    let all = internals.Simulator.int_sections in
+    if kind = "splice" then all @ [ resealed (List.find named all) ]
+    else List.map (fun s -> if named s then resealed s else s) all
   in
   ( Persist.encode ~seed ~policy { internals with Simulator.int_sections },
     Printf.sprintf "resealed-%s %s" kind name )
@@ -202,9 +205,9 @@ let snapshot_of_case ?(resealed = 0) c ~at =
 
 (* Restore [bytes] into a fresh run.  Right after the restore, the cache
    must pass the structural auditor — a re-warming subsystem starts
-   empty, never inconsistent — and a degraded section must still hold its
-   fresh state; of a resealed mutant, every section must be restored or
-   degraded.  (A damaged tag can name a section whose real frame
+   empty, never inconsistent — no section may be restored twice, and a
+   degraded section must still hold its fresh state; of a resealed
+   mutant, every section must be restored or degraded.  (A damaged tag can name a section whose real frame
    restored.) *)
 let restore_case ~resealed c bytes =
   let image = image_of_genome c.genome in
@@ -217,6 +220,8 @@ let restore_case ~resealed c bytes =
       Persist.decode_into bytes ~seed:(Int64.of_int c.seed) ~policy:c.policy internals
     in
     report := Some r;
+    if List.length (List.sort_uniq compare r.Persist.restored) < List.length r.Persist.restored
+    then failwith "a section was restored twice";
     let restored name = List.mem name r.Persist.restored in
     let degraded name =
       (not (restored name))

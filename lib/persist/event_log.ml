@@ -103,17 +103,26 @@ let seal w ~header =
   Wire.set_u32 out (header + plen) (Wire.crc32 out ~pos:header ~len:plen);
   out
 
-(* Validate the payload behind a [header]-byte prefix and open a reader on
-   it in place.  The count check divides rather than multiplies, so no
-   count can wrap around to a matching bit total. *)
-let open_payload bytes l ~what ~header ~n_events ~n_bits =
-  if n_bits mod l.width <> 0 || n_bits / l.width <> n_events then
-    corrupt "event count disagrees with payload size";
-  let plen = (n_bits + 7) / 8 in
-  if Bytes.length bytes <> header + plen + 4 then corrupt ("truncated " ^ what);
-  if Wire.crc32 bytes ~pos:header ~len:plen <> Wire.ru32 bytes (header + plen) then
-    corrupt (what ^ " checksum mismatch");
-  Bitbuf.Reader.create ~pos:header bytes ~n_bits
+(* Read a recording or batch through one cursor: [header] reads what
+   precedes the payload and returns the event count, then come [n_bits |
+   payload | crc32(payload)] and the end.  The cursor's [Failure]s, and
+   the checks', become [Hard_corruption] here; the reader is opened on
+   the payload in place.  The count check divides rather than
+   multiplies, so no count can wrap around to a matching bit total. *)
+let open_payload bytes l ~what header =
+  let c = Wire.cursor bytes ~pos:0 ~len:(Bytes.length bytes) in
+  try
+    let n_events = header c in
+    let n_bits = Wire.u32 c "bit count" in
+    if n_bits mod l.width <> 0 || n_bits / l.width <> n_events then
+      failwith "event count disagrees with payload size";
+    let plen = (n_bits + 7) / 8 in
+    let pos = Wire.skip c "payload" plen in
+    if Wire.u32 c "payload checksum" <> Wire.crc32 bytes ~pos ~len:plen then
+      failwith "payload checksum mismatch";
+    Wire.expect_end c "payload";
+    (n_events, Bitbuf.Reader.create ~pos bytes ~n_bits)
+  with Failure reason -> corrupt (what ^ reason)
 
 let encode ~program ~seed events =
   let l = layout program in
@@ -133,25 +142,27 @@ let encode ~program ~seed events =
   out
 
 let decode bytes ~program ~seed =
-  if Bytes.length bytes < header_len then corrupt "truncated header";
-  if Bytes.sub_string bytes 0 4 <> magic then corrupt "bad magic";
-  if Wire.crc32 bytes ~pos:0 ~len:28 <> Wire.ru32 bytes 28 then corrupt "header checksum mismatch";
-  let v = Wire.ru32 bytes 4 in
-  if v <> version then corrupt (Printf.sprintf "unsupported version %d" v);
   let l = layout program in
-  let n_blocks = Wire.ru32 bytes 8 in
-  if n_blocks <> l.n_blocks then
-    corrupt
-      (Printf.sprintf "program mismatch (%d blocks recorded, %d here)" n_blocks l.n_blocks);
-  if Wire.ru32 bytes 12 <> Wire.seed_lo seed || Wire.ru32 bytes 16 <> Wire.seed_hi seed then
-    corrupt "seed mismatch";
-  let n_events =
-    match Wire.nonneg63 ~hi:(Wire.ru32 bytes 24) ~lo:(Wire.ru32 bytes 20) with
-    | n -> n
-    | exception Failure msg -> corrupt ("event count " ^ msg)
-  in
-  let r =
-    open_payload bytes l ~what:"payload" ~header:header_len ~n_events ~n_bits:(Wire.ru32 bytes 32)
+  let n_events, r =
+    open_payload bytes l ~what:"" (fun c ->
+        if Bytes.sub_string bytes (Wire.skip c "magic" 4) 4 <> magic then failwith "bad magic";
+        let v = Wire.u32 c "version" in
+        let n_blocks = Wire.u32 c "block count" in
+        let seed_lo = Wire.u32 c "seed" in
+        let seed_hi = Wire.u32 c "seed" in
+        let count_lo = Wire.u32 c "event count" in
+        let count_hi = Wire.u32 c "event count" in
+        let header_end = Wire.skip c "header checksum" 0 in
+        if Wire.u32 c "header checksum" <> Wire.crc32 bytes ~pos:0 ~len:header_end then
+          failwith "header checksum mismatch";
+        if v <> version then failwith (Printf.sprintf "unsupported version %d" v);
+        if n_blocks <> l.n_blocks then
+          failwith
+            (Printf.sprintf "program mismatch (%d blocks recorded, %d here)" n_blocks l.n_blocks);
+        if seed_lo <> Wire.seed_lo seed || seed_hi <> Wire.seed_hi seed then
+          failwith "seed mismatch";
+        try Wire.nonneg63 ~hi:count_hi ~lo:count_lo
+        with Failure m -> failwith ("event count " ^ m))
   in
   let events = Branch_stream.recorder ~capacity:n_events () in
   unpack l r ~n_events ~into:events;
@@ -174,12 +185,8 @@ let encode_batch ~program events ~pos ~len =
   out
 
 let decode_batch bytes ~program ~into =
-  if Bytes.length bytes < 12 then corrupt "truncated batch";
-  let n_events = Wire.ru32 bytes 0 in
   let l = layout program in
-  let r =
-    open_payload bytes l ~what:"batch payload" ~header:8 ~n_events ~n_bits:(Wire.ru32 bytes 4)
-  in
+  let n_events, r = open_payload bytes l ~what:"batch: " (fun c -> Wire.u32 c "event count") in
   (* A payload whose checksum holds but whose events fail validation
      (block ids outside the program) must not leave a partial append in
      [into] — callers feed live replay streams — so a failure rolls

@@ -13,9 +13,11 @@ let clean r = r.degraded = []
    word first. *)
 let payload_ints bytes ~pos ~len =
   if len mod 8 <> 0 then failwith "payload is not a whole number of ints";
-  Array.init (len / 8) (fun i ->
-      let p = pos + (8 * i) in
-      Wire.int63 ~hi:(Wire.ru32 bytes (p + 4)) ~lo:(Wire.ru32 bytes p))
+  let c = Wire.cursor bytes ~pos ~len in
+  Array.init (len / 8) (fun _ ->
+      let lo = Wire.u32 c "int" in
+      let hi = Wire.u32 c "int" in
+      Wire.int63 ~hi ~lo)
 
 let magic = "RSNP"
 let format_version = 1
@@ -43,7 +45,7 @@ let tag_of_section name =
   | Some (t, _) -> t
   | None -> invalid_arg ("Persist: section has no tag: " ^ name)
 
-let section_of_tag tag = Option.map snd (List.find_opt (fun (t, _) -> t = tag) tags)
+let name_of_tag tag = try List.assoc tag tags with Not_found -> Printf.sprintf "tag-%d" tag
 
 (* A section's checksum covers its 12-byte frame header (tag, version,
    payload length) and the payload.  Covering the header matters: a bit
@@ -85,104 +87,105 @@ let encode ~seed ~policy (internals : Simulator.internals) =
     internals.Simulator.int_sections;
   Buffer.to_bytes buf
 
-let decode_into bytes ~seed ~policy (internals : Simulator.internals) =
-  let len = Bytes.length bytes in
-  let pos = ref 0 in
-  let hard msg = raise (Hard_corruption msg) in
-  let u32 () =
-    let v = Wire.ru32 bytes !pos in
-    pos := !pos + 4;
-    v
-  in
-  let u32_hard what = if !pos + 4 > len then hard ("truncated header: " ^ what) else u32 () in
-  if len < 4 || not (String.equal (Bytes.sub_string bytes 0 4) magic) then hard "bad magic";
-  pos := 4;
-  let ver = u32_hard "format version" in
+(* The header, read through [c]: identity checks against this run, then
+   the declared section count.  Every failure is [Failure]; the caller
+   turns it into [Hard_corruption]. *)
+let read_header bytes c ~seed ~policy ~run_blocks =
+  if not (String.equal (Bytes.sub_string bytes (Wire.skip c "magic" 4) 4) magic) then
+    failwith "bad magic";
+  let ver = Wire.u32 c "format version" in
   if ver <> format_version then
-    hard (Printf.sprintf "unsupported format version %d (this build reads %d)" ver format_version);
-  let n_blocks = u32_hard "block count" in
-  let slo = u32_hard "seed" in
-  let shi = u32_hard "seed" in
-  let name_len = u32_hard "policy name length" in
-  if !pos + name_len > len then hard "truncated header: policy name";
-  let snap_policy = Bytes.sub_string bytes !pos name_len in
-  pos := !pos + name_len;
-  let n_sections = u32_hard "section count" in
-  let header_end = !pos in
-  let header_crc = u32_hard "header checksum" in
-  if header_crc <> Wire.crc32 bytes ~pos:0 ~len:header_end then hard "header checksum mismatch";
-  let run_blocks = Program.n_blocks internals.Simulator.int_ctx.Context.program in
+    failwith
+      (Printf.sprintf "unsupported format version %d (this build reads %d)" ver format_version);
+  let n_blocks = Wire.u32 c "block count" in
+  let lo = Wire.u32 c "seed" in
+  let hi = Wire.u32 c "seed" in
+  let snap_policy = Wire.string c "policy name" ~limit:max_int in
+  let n_sections = Wire.u32 c "section count" in
+  let header_end = Wire.skip c "header checksum" 0 in
+  if Wire.u32 c "header checksum" <> Wire.crc32 bytes ~pos:0 ~len:header_end then
+    failwith "header checksum mismatch";
   if n_blocks <> run_blocks then
-    hard
+    failwith
       (Printf.sprintf "snapshot is for a different program (%d blocks, this run has %d)"
          n_blocks run_blocks);
-  let snap_seed = Wire.seed_of_words ~hi:shi ~lo:slo in
+  let snap_seed = Wire.seed_of_words ~hi ~lo in
   if not (Int64.equal snap_seed seed) then
-    hard (Printf.sprintf "snapshot seed %Ld does not match this run's seed %Ld" snap_seed seed);
+    failwith (Printf.sprintf "snapshot seed %Ld does not match this run's seed %Ld" snap_seed seed);
   if not (String.equal snap_policy policy) then
-    hard
-      (Printf.sprintf "snapshot policy %S does not match this run's policy %S" snap_policy
-         policy);
-  let restored = ref [] in
-  let degraded = ref [] in
-  let skipped = ref 0 in
-  let drop section reason = degraded := { section; reason } :: !degraded in
-  let find_section n =
-    List.find_opt
-      (fun (s : Simulator.section) -> String.equal s.Simulator.sec_name n)
-      internals.Simulator.int_sections
+    failwith
+      (Printf.sprintf "snapshot policy %S does not match this run's policy %S" snap_policy policy);
+  n_sections
+
+let decode_into bytes ~seed ~policy (internals : Simulator.internals) =
+  let c = Wire.cursor bytes ~pos:0 ~len:(Bytes.length bytes) in
+  let run_blocks = Program.n_blocks internals.Simulator.int_ctx.Context.program in
+  let n_sections =
+    try read_header bytes c ~seed ~policy ~run_blocks
+    with Failure msg -> raise (Hard_corruption msg)
   in
-  let seen = ref 0 in
-  let stop = ref false in
-  while (not !stop) && !pos < len do
-    incr seen;
-    if !pos + 16 > len then begin
-      drop "<frame>" "truncated section header";
-      stop := true
-    end
-    else begin
-      let fpos = !pos in
-      let tag = u32 () in
-      let sver = u32 () in
-      let plen = u32 () in
-      let pcrc = u32 () in
-      let sec_name =
-        match section_of_tag tag with Some n -> n | None -> Printf.sprintf "tag-%d" tag
-      in
-      if !pos + plen > len then begin
-        drop sec_name "truncated payload";
-        stop := true
-      end
-      else begin
-        let ppos = !pos in
-        pos := !pos + plen;
-        if pcrc <> frame_crc bytes ~hpos:fpos bytes ~ppos ~plen then
-          drop sec_name "checksum mismatch"
-        else
-          match find_section sec_name with
+  let sections = Array.of_list internals.Simulator.int_sections in
+  let restored = ref [] and degraded = ref [] and skipped = ref 0 in
+  let drop section reason = degraded := { section; reason } :: !degraded in
+  (* Each frame is [tag | version | payload length | checksum | payload].
+     A frame that cannot be read to its end degrades and ends the walk.
+     Sections apply once each, in load order ("loop" resolves against the
+     restored cache, the policy checks the restored gauges): [last] is
+     the load-order index of the last section handled, and a frame for a
+     section at or before it, a repeat or one moved late, is not applied.
+     Returns the number of frames seen. *)
+  let rec frames seen last =
+    if Wire.remaining c = 0 then seen
+    else
+      match Wire.skip c "section header" 16 with
+      | exception Failure reason ->
+        drop "<frame>" reason;
+        seen + 1
+      | hpos -> (
+        let h = Wire.cursor bytes ~pos:hpos ~len:16 in
+        let tag = Wire.u32 h "tag" in
+        let sver = Wire.u32 h "section version" in
+        let plen = Wire.u32 h "payload length" in
+        let pcrc = Wire.u32 h "checksum" in
+        let name = name_of_tag tag in
+        match Wire.skip c "payload" plen with
+        | exception Failure reason ->
+          drop name reason;
+          seen + 1
+        | ppos when pcrc <> frame_crc bytes ~hpos bytes ~ppos ~plen ->
+          drop name "checksum mismatch";
+          frames (seen + 1) last
+        | ppos -> (
+          match
+            Array.find_index (fun (s : Simulator.section) -> s.Simulator.sec_name = name) sections
+          with
           | None ->
             (* Unknown tag, or a section this run has no home for (e.g. a
                telemetry section restored into a run without a sink).
                The checksum above already vouched for the frame, so this
                is version skew or configuration skew, not corruption. *)
-            incr skipped
-          | Some s ->
-            if sver <> section_version then
-              drop sec_name (Printf.sprintf "unsupported section version %d" sver)
-            else
-              (* Decode, then commit: a section whose stream fails to parse,
-                 or leaves ints unread, is never applied. *)
-              match Snap.decode (payload_ints bytes ~pos:ppos ~len:plen) s.Simulator.sec_load with
-              | commit ->
-                commit ();
-                restored := sec_name :: !restored
-              | exception (Failure msg | Invalid_argument msg) -> drop sec_name msg
-      end
-    end
-  done;
-  if !seen < n_sections then
-    drop "<file>"
-      (Printf.sprintf "snapshot ends after %d of %d sections" !seen n_sections);
+            incr skipped;
+            frames (seen + 1) last
+          | Some i when i <= last ->
+            drop name "repeated or out-of-order frame";
+            frames (seen + 1) last
+          | Some i ->
+            (if sver <> section_version then
+               drop name (Printf.sprintf "unsupported section version %d" sver)
+             else
+               (* Decode, then commit: a section whose stream fails to
+                  parse, or leaves ints unread, is never applied. *)
+               let load = sections.(i).Simulator.sec_load in
+               match Snap.decode (payload_ints bytes ~pos:ppos ~len:plen) load with
+               | commit ->
+                 commit ();
+                 restored := name :: !restored
+               | exception (Failure msg | Invalid_argument msg) -> drop name msg);
+            frames (seen + 1) i))
+  in
+  let seen = frames 0 (-1) in
+  if seen < n_sections then
+    drop "<file>" (Printf.sprintf "snapshot ends after %d of %d sections" seen n_sections);
   { restored = List.rev !restored; degraded = List.rev !degraded; skipped = !skipped }
 
 let save_file ?crash_after_bytes ~path ~seed ~policy internals =

@@ -55,7 +55,8 @@ val encode : seed:int64 -> policy:string -> Simulator.internals -> bytes
 
 val decode_into : bytes -> seed:int64 -> policy:string -> Simulator.internals -> report
 (** Validate the header against the restoring run's identity, then load
-    each section that survives its own CRC/version/structure checks.
+    each section that survives its own CRC/version/structure checks, once
+    and in load order: a repeated or out-of-order frame is degraded.
     @raise Hard_corruption on an unusable or mismatched header. *)
 
 (** {1 Files} *)

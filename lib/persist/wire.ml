@@ -60,3 +60,28 @@ let crc32 ?(crc = 0) b ~pos ~len =
     incr i
   done;
   !c lxor 0xFFFF_FFFF
+
+type cursor = { buf : bytes; stop : int; mutable at : int }
+
+let cursor buf ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then invalid_arg "Wire.cursor";
+  { buf; stop = pos + len; at = pos }
+
+let remaining c = c.stop - c.at
+
+let skip c what n =
+  if n < 0 || n > c.stop - c.at then failwith ("truncated " ^ what);
+  let at = c.at in
+  c.at <- at + n;
+  at
+
+let u8 c what = Char.code (Bytes.get c.buf (skip c what 1))
+let u32 c what = ru32 c.buf (skip c what 4)
+
+let string c what ~limit =
+  let n = u32 c what in
+  if n > limit then failwith (Printf.sprintf "%s longer than %d bytes" what limit);
+  Bytes.sub_string c.buf (skip c what n) n
+
+let expect_end c what =
+  if c.at <> c.stop then failwith (Printf.sprintf "%s has %d trailing bytes" what (c.stop - c.at))

@@ -7,7 +7,10 @@
     keeping bit 30 as the sign ([asr 32]), which reconstructs every 63-bit
     int exactly.  Which word comes first is each format's own choice.
     Checksums are computed in place over a range of the buffer being
-    written or read, so no codec copies bytes just to checksum them. *)
+    written or read, so no codec copies bytes just to checksum them.
+
+    All three read through one bounded {!cursor}, the byte-level twin of
+    [Snap.reader]; each turns its [Failure]s into its own typed error. *)
 
 val set_u32 : bytes -> int -> int -> unit
 (** [set_u32 b pos v] stores the low 32 bits of [v] at [pos]. *)
@@ -41,3 +44,34 @@ val crc32 : ?crc:int -> bytes -> pos:int -> len:int -> int
     preceding bytes, continues it: [crc32 ~crc:(crc32 a) b] is the CRC of
     [a] followed by [b], wherever the two ranges lie.
     @raise Invalid_argument if the range runs past the buffer. *)
+
+(** {1 Reading} *)
+
+type cursor
+(** A read position in [[pos, pos + len)] of a buffer; it never reads
+    past that range, even where the buffer goes on.  Each reader takes
+    [what], the field's name, and raises [Failure] naming it when the
+    range holds too few bytes. *)
+
+val cursor : bytes -> pos:int -> len:int -> cursor
+(** @raise Invalid_argument if the range is not inside the buffer. *)
+
+val u8 : cursor -> string -> int
+
+val u32 : cursor -> string -> int
+(** Compose two words with {!int63}, {!nonneg63} or {!seed_of_words},
+    binding each with its own [let] in wire order: labelled arguments
+    are evaluated right to left. *)
+
+val string : cursor -> string -> limit:int -> string
+(** A u32 length, then that many bytes.  A length over [limit] or over
+    the bytes left fails before anything is allocated. *)
+
+val skip : cursor -> string -> int -> int
+(** Step over [n] bytes and return where they start, to checksum them or
+    take them in place; [skip c what 0] is the current position. *)
+
+val remaining : cursor -> int
+
+val expect_end : cursor -> string -> unit
+(** Fails if any byte is left. *)

@@ -1,18 +1,10 @@
-(* The daemon's wire protocol: a length-prefixed framing of the existing
-   REVL event codec.
-
-   Every frame is [u32 length | u8 kind | payload], length counting the
-   kind byte.  Integers are big-endian, like every persisted artifact in
-   this repo; 64-bit values ride as a high/low u32 pair (the event log's
-   seed convention).  The one payload the protocol does not define itself
-   is the Events body, which is exactly [Event_log.encode_batch] — the
-   REVL bit packing plus its own CRC32, so corrupt event data is caught
-   by the same checksum discipline as an on-disk recording.
-
-   Anything malformed raises [Protocol_error] — a typed failure the
-   server answers with a Reject frame, never a crash.  The fuzzer's
-   [--frames] axis drives arbitrary garbage through [Dechunker] to pin
-   that. *)
+(* The daemon's wire protocol; proto.mli has the frame layout and the
+   session.  Integers are big-endian, and a 64-bit value rides as a
+   high/low u32 pair (the event log's seed convention).  A frame body is
+   read through [Wire]'s bounded cursor, the one byte reader under all
+   three binary formats; [decode_frame] turns its [Failure]s into
+   [Protocol_error], which the server answers with a Reject frame, never
+   a crash. *)
 
 module Wire = Regionsel_persist.Wire
 
@@ -90,13 +82,8 @@ let bseed buf seed =
   Wire.bu32 buf (Wire.seed_hi seed);
   Wire.bu32 buf (Wire.seed_lo seed)
 
-let bstring buf s =
-  if String.length s > max_string then invalid_arg "Proto: string too long";
-  Wire.bu32 buf (String.length s);
-  Buffer.add_string buf s
-
-let btext buf s =
-  if String.length s > max_text then invalid_arg "Proto: text too long";
+let bstring ?(limit = max_string) buf s =
+  if String.length s > limit then invalid_arg "Proto: string too long";
   Wire.bu32 buf (String.length s);
   Buffer.add_string buf s
 
@@ -130,8 +117,8 @@ let encode msg =
   | Reject { code; detail } ->
     Buffer.add_char out (Char.chr (code_of_reject code));
     bstring out detail
-  | Result json -> btext out json
-  | Data text -> btext out text);
+  | Result json -> bstring ~limit:max_text out json
+  | Data text -> bstring ~limit:max_text out text);
   let frame = Buffer.to_bytes out in
   let flen = Bytes.length frame - 4 in
   if flen > max_frame then invalid_arg "Proto: frame too large";
@@ -140,85 +127,52 @@ let encode msg =
 
 (* --- Decoding --------------------------------------------------------- *)
 
-(* A cursor over one frame body; every read is bounds-checked so a short
-   or padded payload is a typed error. *)
-type cursor = { c_bytes : Bytes.t; c_end : int; mutable c_pos : int }
-
-let need cur n what = if cur.c_pos + n > cur.c_end then fail "truncated %s" what
-
-let ru8 cur what =
-  need cur 1 what;
-  let v = Char.code (Bytes.get cur.c_bytes cur.c_pos) in
-  cur.c_pos <- cur.c_pos + 1;
-  v
-
-let ru32 cur what =
-  need cur 4 what;
-  cur.c_pos <- cur.c_pos + 4;
-  Wire.ru32 cur.c_bytes (cur.c_pos - 4)
-
 (* Every 64-bit field the protocol carries is a non-negative count, so a
    crafted high word that would wrap or land in the sign bit is an error. *)
-let ru64 cur what =
-  let hi = ru32 cur what in
-  let lo = ru32 cur what in
-  match Wire.nonneg63 ~hi ~lo with v -> v | exception Failure msg -> fail "%s %s" what msg
-
-let rseed cur what =
-  let hi = ru32 cur what in
-  let lo = ru32 cur what in
-  Wire.seed_of_words ~hi ~lo
-
-let rbounded cur what ~limit =
-  let n = ru32 cur what in
-  if n > limit then fail "%s string longer than %d bytes" what limit;
-  need cur n what;
-  let s = Bytes.sub_string cur.c_bytes cur.c_pos n in
-  cur.c_pos <- cur.c_pos + n;
-  s
-
-let rstring cur what = rbounded cur what ~limit:max_string
-let rtext cur what = rbounded cur what ~limit:max_text
-
-let finished cur what =
-  if cur.c_pos <> cur.c_end then fail "%s frame has %d trailing bytes" what (cur.c_end - cur.c_pos)
+let u64 c what =
+  let hi = Wire.u32 c what in
+  let lo = Wire.u32 c what in
+  try Wire.nonneg63 ~hi ~lo with Failure m -> failwith (what ^ " " ^ m)
 
 (* Decode one frame body ([kind | payload], the length prefix already
-   stripped and validated by the dechunker or [read_msg]). *)
+   stripped and validated by the dechunker or [read_msg]).  The cursor's
+   [Failure]s become [Protocol_error] here, and only here. *)
 let decode_frame bytes ~pos ~len =
-  if len < 1 then fail "empty frame";
-  let cur = { c_bytes = bytes; c_end = pos + len; c_pos = pos } in
-  let kind = ru8 cur "kind" in
-  let msg =
-    match kind with
-    | 1 ->
-      let h_tenant = rstring cur "hello tenant" in
-      let h_bench = rstring cur "hello bench" in
-      let h_policy = rstring cur "hello policy" in
-      let h_seed = rseed cur "hello seed" in
-      let h_max_steps = ru64 cur "hello max_steps" in
-      if h_max_steps < 0 then fail "negative max_steps";
-      if h_tenant = "" then fail "empty tenant name";
-      Hello { h_tenant; h_bench; h_policy; h_seed; h_max_steps }
-    | 2 -> Events (Bytes.sub bytes cur.c_pos (cur.c_end - cur.c_pos))
-    | 3 -> Fin
-    | 4 -> Ctrl (rstring cur "ctrl command")
-    | 10 ->
-      let resume_step = ru64 cur "welcome resume_step" in
-      if resume_step < 0 then fail "negative resume_step";
-      let session = rstring cur "welcome session" in
-      Welcome { resume_step; session }
-    | 11 ->
-      let c = ru8 cur "reject code" in
-      if c >= Array.length reject_codes then fail "unknown reject code %d" c;
-      let detail = rstring cur "reject detail" in
-      Reject { code = reject_codes.(c); detail }
-    | 12 -> Result (rtext cur "result json")
-    | 13 -> Data (rtext cur "data body")
-    | k -> fail "unknown frame kind %d" k
-  in
-  (match msg with Events _ -> () | _ -> finished cur "frame");
-  msg
+  let c = Wire.cursor bytes ~pos ~len in
+  try
+    let msg =
+      match Wire.u8 c "kind" with
+      | 1 ->
+        let h_tenant = Wire.string c "hello tenant" ~limit:max_string in
+        let h_bench = Wire.string c "hello bench" ~limit:max_string in
+        let h_policy = Wire.string c "hello policy" ~limit:max_string in
+        let hi = Wire.u32 c "hello seed" in
+        let lo = Wire.u32 c "hello seed" in
+        let h_max_steps = u64 c "hello max_steps" in
+        if h_tenant = "" then failwith "empty tenant name";
+        Hello { h_tenant; h_bench; h_policy; h_seed = Wire.seed_of_words ~hi ~lo; h_max_steps }
+      | 2 ->
+        let n = Wire.remaining c in
+        Events (Bytes.sub bytes (Wire.skip c "events" n) n)
+      | 3 -> Fin
+      | 4 -> Ctrl (Wire.string c "ctrl command" ~limit:max_string)
+      | 10 ->
+        let resume_step = u64 c "welcome resume_step" in
+        let session = Wire.string c "welcome session" ~limit:max_string in
+        Welcome { resume_step; session }
+      | 11 ->
+        let code = Wire.u8 c "reject code" in
+        if code >= Array.length reject_codes then
+          failwith (Printf.sprintf "unknown reject code %d" code);
+        let detail = Wire.string c "reject detail" ~limit:max_string in
+        Reject { code = reject_codes.(code); detail }
+      | 12 -> Result (Wire.string c "result json" ~limit:max_text)
+      | 13 -> Data (Wire.string c "data body" ~limit:max_text)
+      | k -> failwith (Printf.sprintf "unknown frame kind %d" k)
+    in
+    Wire.expect_end c "frame";
+    msg
+  with Failure m -> raise (Protocol_error m)
 
 (* --- Incremental dechunking ------------------------------------------- *)
 

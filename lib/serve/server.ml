@@ -90,9 +90,9 @@ type t = {
   cfg : config;
   listen_fd : Unix.file_descr;
   engine : Multi_stream.Engine.t;
-  mutable conns : conn list;
+  conns : conn Queue.t;  (* accept order *)
   recorders : (string, Metrics.recorder) Hashtbl.t;
-  mutable recorder_order : string list;  (* first-seen order, for exports *)
+  recorder_order : Metrics.recorder Queue.t;  (* first-seen order, for exports *)
   mutable stopping : bool;
   scratch : Bytes.t;
 }
@@ -112,24 +112,12 @@ let recorder_for t ~tenant ~policy =
         ()
     in
     Hashtbl.add t.recorders tenant r;
-    t.recorder_order <- t.recorder_order @ [ tenant ];
+    Queue.add r t.recorder_order;
     r
 
-let all_windows t =
-  List.concat_map
-    (fun tenant ->
-      match Hashtbl.find_opt t.recorders tenant with
-      | Some r -> Metrics.windows r
-      | None -> [])
-    t.recorder_order
-
-let flight_windows t =
-  List.concat_map
-    (fun tenant ->
-      match Hashtbl.find_opt t.recorders tenant with
-      | Some r -> Metrics.last_windows r Metrics.default_flight_keep
-      | None -> [])
-    t.recorder_order
+(* The windows [select] picks from each recorder, recorders in first-seen
+   order: the one walk behind prom, jsonl and the flight dump. *)
+let windows t select = List.concat_map select (List.of_seq (Queue.to_seq t.recorder_order))
 
 (* Barrier observation, exactly as the CLI fleet runs: one window per
    participating tenant per round. *)
@@ -233,12 +221,15 @@ let close_conn t conn =
   conn.c_closed <- true;
   detach t conn
 
-let tenant_attached t name =
-  List.exists
+(* The live session attached under [name]: at most one, since a Hello
+   for an attached tenant is rejected. *)
+let attached_session t name =
+  Seq.find_map
     (fun c ->
-      (not c.c_closed)
-      && match c.c_session with Some s -> String.equal s.s_tenant name | None -> false)
-    t.conns
+      match c.c_session with
+      | Some s when (not c.c_closed) && String.equal s.s_tenant name -> Some s
+      | _ -> None)
+    (Queue.to_seq t.conns)
 
 (* Hello: admission control, session identity, snapshot restore. *)
 let handle_hello t conn (h : Proto.hello) =
@@ -251,7 +242,8 @@ let handle_hello t conn (h : Proto.hello) =
   | Some _ -> reject Proto.Bad_frame "second hello on a streaming connection"
   | None -> (
     let tenant = h.Proto.h_tenant in
-    if tenant_attached t tenant then reject Proto.Busy_tenant (tenant ^ " is already streaming")
+    if Option.is_some (attached_session t tenant) then
+      reject Proto.Busy_tenant (tenant ^ " is already streaming")
     else
       match (Suite.find h.Proto.h_bench, Policies.find h.Proto.h_policy) with
       | None, _ -> reject Proto.Unknown_bench h.Proto.h_bench
@@ -348,14 +340,7 @@ let status_text t =
   List.iter
     (fun (name, sim) ->
       let line =
-        match
-          List.find_map
-            (fun c ->
-              match c.c_session with
-              | Some s when (not c.c_closed) && String.equal s.s_tenant name -> Some s
-              | _ -> None)
-            t.conns
-        with
+        match attached_session t name with
         | Some s ->
           Printf.sprintf "tenant %s steps %d backlog %d fin %b exhausted %b\n" name
             (Simulator.steps sim) (backlog s) s.s_fin (Simulator.exhausted sim)
@@ -371,19 +356,11 @@ let handle_ctrl t conn cmd =
   match String.split_on_char ' ' (String.trim cmd) with
   | [ "ping" ] -> reply "pong"
   | [ "status" ] -> reply (status_text t)
-  | [ "prom" ] -> reply (Metrics.to_prometheus (all_windows t))
-  | [ "jsonl" ] -> reply (Metrics.to_jsonl (all_windows t))
+  | [ "prom" ] -> reply (Metrics.to_prometheus (windows t Metrics.windows))
+  | [ "jsonl" ] -> reply (Metrics.to_jsonl (windows t Metrics.windows))
   | [ "jsonl"; n ] -> (
     match int_of_string_opt n with
-    | Some k when k >= 0 ->
-      reply
-        (Metrics.to_jsonl
-           (List.concat_map
-              (fun tenant ->
-                match Hashtbl.find_opt t.recorders tenant with
-                | Some r -> Metrics.last_windows r k
-                | None -> [])
-              t.recorder_order))
+    | Some k when k >= 0 -> reply (Metrics.to_jsonl (windows t (fun r -> Metrics.last_windows r k)))
     | _ ->
       ignore
         (send t conn (Proto.Reject { code = Proto.Bad_frame; detail = "bad jsonl tail count" })))
@@ -437,23 +414,15 @@ let handle_readable t conn =
 
 (* --- Engine driving --------------------------------------------------- *)
 
-let session_of_tenant t name =
-  List.find_map
-    (fun c ->
-      match c.c_session with
-      | Some s when (not c.c_closed) && String.equal s.s_tenant name -> Some s
-      | _ -> None)
-    t.conns
-
 let step_limit t ~name ~sim:_ =
-  match session_of_tenant t name with Some s -> available s | None -> 0
+  match attached_session t name with Some s -> available s | None -> 0
 
 (* Finish tenants whose stream is complete: Fin received and every
    ingested event consumed (or the step budget spent first).  The replay
    stream may then run dry inside [finish] — that is exactly what a solo
    replay run does, so the Result is bit-identical to one. *)
 let finish_ready t =
-  List.iter
+  Queue.iter
     (fun conn ->
       match conn.c_session with
       | Some s
@@ -480,12 +449,12 @@ let finish_ready t =
    so counting it would pin the select timeout at zero and busy-spin the
    loop until its Fin arrives. *)
 let any_backlog t =
-  List.exists
+  Seq.exists
     (fun c ->
       match c.c_session with
       | Some s -> backlog s > 0 && not (Simulator.exhausted s.s_sim)
       | None -> false)
-    t.conns
+    (Queue.to_seq t.conns)
 
 (* --- The event loop --------------------------------------------------- *)
 
@@ -510,11 +479,11 @@ let accept_ready t =
     log t "connection rejected: descriptor past FD_SETSIZE (%d)" fd_setsize
   | fd, _ ->
     Unix.set_nonblock fd;
-    t.conns <-
+    Queue.add
+      { c_fd = fd; c_dech = Proto.Dechunker.create (); c_session = None;
+        c_paused = false; c_closed = false; c_out = Queue.create ();
+        c_out_pos = 0; c_out_len = 0 }
       t.conns
-      @ [ { c_fd = fd; c_dech = Proto.Dechunker.create (); c_session = None;
-            c_paused = false; c_closed = false; c_out = Queue.create ();
-            c_out_pos = 0; c_out_len = 0 } ]
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
 
 (* An exhausted simulation can never drain its backlog, so pausing its
@@ -529,36 +498,35 @@ let update_pause t conn =
   | Some _ | None -> conn.c_paused <- false
 
 let snapshot_all t =
-  List.iter (fun conn -> detach t conn) t.conns
+  Queue.iter (fun conn -> detach t conn) t.conns
 
 let cleanup t =
-  List.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) t.conns;
-  t.conns <- [];
+  Queue.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) t.conns;
+  Queue.clear t.conns;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   try Sys.remove t.cfg.socket_path with Sys_error _ -> ()
 
 let loop t stop =
   while not (t.stopping || !stop) do
-    List.iter (update_pause t) t.conns;
+    Queue.iter (update_pause t) t.conns;
     let read_fds =
-      t.listen_fd
-      :: List.filter_map
-           (fun c -> if c.c_closed || c.c_paused then None else Some c.c_fd)
-           t.conns
+      Queue.fold
+        (fun fds c -> if c.c_closed || c.c_paused then fds else c.c_fd :: fds)
+        [ t.listen_fd ] t.conns
     in
     (* A closed connection stays in the write set until its queued
        output (typically a final Reject) has drained. *)
     let write_fds =
-      List.filter_map (fun c -> if c.c_out_len > 0 then Some c.c_fd else None) t.conns
+      Queue.fold (fun fds c -> if c.c_out_len > 0 then c.c_fd :: fds else fds) [] t.conns
     in
     let timeout = if any_backlog t then 0.0 else 0.25 in
     (match Unix.select read_fds write_fds [] timeout with
     | readable, writable, _ ->
       if List.memq t.listen_fd readable then accept_ready t;
-      List.iter
+      Queue.iter
         (fun c -> if c.c_out_len > 0 && List.memq c.c_fd writable then ignore (flush_out t c))
         t.conns;
-      List.iter
+      Queue.iter
         (fun c -> if (not c.c_closed) && List.memq c.c_fd readable then handle_readable t c)
         t.conns
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
@@ -567,16 +535,16 @@ let loop t stop =
        (its tenant just has nothing to advance). *)
     ignore (Multi_stream.Engine.round t.engine ~limit:(fun ~name ~sim -> step_limit t ~name ~sim));
     finish_ready t;
-    (* The single place a connection fd is closed: closed AND drained. *)
-    let dead, live =
-      List.partition (fun c -> c.c_closed && c.c_out_len = 0) t.conns
-    in
-    List.iter
-      (fun c ->
+    (* The single place a connection fd is closed: closed AND drained.
+       The live ones go back in the queue in their order. *)
+    for _ = 1 to Queue.length t.conns do
+      let c = Queue.pop t.conns in
+      if c.c_closed && c.c_out_len = 0 then begin
         detach t c;
-        try Unix.close c.c_fd with Unix.Unix_error _ -> ())
-      dead;
-    t.conns <- live
+        try Unix.close c.c_fd with Unix.Unix_error _ -> ()
+      end
+      else Queue.add c t.conns
+    done
   done
 
 let serve cfg =
@@ -606,9 +574,9 @@ let serve cfg =
       cfg;
       listen_fd;
       engine;
-      conns = [];
+      conns = Queue.create ();
       recorders = Hashtbl.create 8;
-      recorder_order = [];
+      recorder_order = Queue.create ();
       stopping = false;
       scratch = Bytes.create (1 lsl 16);
     }
@@ -642,7 +610,8 @@ let serve cfg =
        let n =
          Metrics.flight_dump ~path
            ~cli:(String.concat " " (Array.to_list Sys.argv))
-           ~detail:(Check.violation_to_string v) (flight_windows t)
+           ~detail:(Check.violation_to_string v)
+           (windows t (fun r -> Metrics.last_windows r Metrics.default_flight_keep))
        in
        Printf.eprintf "regionsel_daemon: flight recorder: %d windows -> %s\n%!" n path
      | _ -> ());

@@ -656,6 +656,63 @@ let hostile_counts_degrade () =
           i );
     ]
 
+(* Frames apply once each, in load order.  A second gauges frame appended
+   with its observed bytes zeroed, or the gauges frame moved after the
+   policy's, is reported degraded and not applied: the gauges then agree
+   with the restored observation store (the first int of the combined-LEI
+   policy stream), and a zeroed repeat cannot drive the gauge negative
+   when the store later evicts. *)
+let repeated_or_reordered_frame_not_applied () =
+  let image = figure2 ~iters:4_000 () in
+  let policy = "combined-lei" and seed = 7L and params = Params.default in
+  let _, bytes = capture ~at:11_000 ~params ~policy ~seed ~max_steps:30_000 image in
+  let restore snapshot =
+    let report = ref None and gauge = ref 0 and store = ref 0 in
+    let result =
+      Simulator.run ~params ~seed
+        ~telemetry:(Some (Telemetry.create ()))
+        ~restore:(fun internals ->
+          report := Some (Persist.decode_into snapshot ~seed ~policy internals);
+          let first name =
+            (Snap.ints
+               (List.find
+                  (fun (s : Simulator.section) -> s.Simulator.sec_name = name)
+                  internals.Simulator.int_sections)
+                 .Simulator.sec_save).(0)
+          in
+          gauge := first "gauges";
+          store := first "policy")
+        ~policy:(policy_exn policy) ~max_steps:30_000 image
+    in
+    (Run_metrics.to_json (Run_metrics.of_result result), Option.get !report, !gauge, !store)
+  in
+  let want, _, _, observed = restore bytes in
+  check_true "the restored store holds observed bytes" (observed > 0);
+  let _, fpos, plen = frame_of bytes "gauges" in
+  let gauges = Bytes.sub bytes fpos (16 + plen) in
+  set_u32 gauges 16 0;
+  set_u32 gauges 20 0;
+  reseal gauges 0 plen;
+  let got, report, gauge, store = restore (Bytes.cat bytes gauges) in
+  Alcotest.(check (list string)) "the repeated frame degrades" [ "gauges" ] (sections_of report);
+  check_int "the repeat left the gauge alone" observed gauge;
+  check_int "and the store" observed store;
+  Alcotest.(check string) "the run matches the untouched restore" want got;
+  let _, ppos, _ = frame_of bytes "policy" in
+  let pend = ppos + 16 + get_u32 bytes (ppos + 8) in
+  let moved =
+    Bytes.concat Bytes.empty
+      [
+        Bytes.sub bytes 0 fpos;
+        Bytes.sub bytes (fpos + 16 + plen) (pend - (fpos + 16 + plen));
+        Bytes.sub bytes fpos (16 + plen);
+        Bytes.sub bytes pend (Bytes.length bytes - pend);
+      ]
+  in
+  let _, report, gauge, store = restore moved in
+  check_true "the late gauges frame degrades" (List.mem "gauges" (sections_of report));
+  check_int "the gauge agrees with the restored store" store gauge
+
 (* ---- qcheck properties ---- *)
 
 let genome_gen = QCheck.(list_of_size (Gen.int_range 1 5) (int_bound 1000))
@@ -810,6 +867,7 @@ let suite =
     case "forged aux binding degrades the cache" forged_cache_section_degrades;
     case "degraded section is fresh" degraded_section_is_fresh;
     case "hostile counts degrade" hostile_counts_degrade;
+    case "repeated or reordered frame is not applied" repeated_or_reordered_frame_not_applied;
     QCheck_alcotest.to_alcotest qcheck_reencode_identity;
     QCheck_alcotest.to_alcotest qcheck_history_buffer_roundtrip;
     case "snapshot corruption axis" snapshot_corruption_axis;

@@ -1,7 +1,7 @@
 (* The byte-level primitives every binary format shares: big-endian u32
-   fields, the two-word int encoding and its range-checked readers, and
-   the CRC32 checked against its standard check value and a bit-at-a-time
-   reference. *)
+   fields, the two-word int encoding and its range-checked readers, the
+   bounded cursor all three formats decode through, and the CRC32 checked
+   against its standard check value and a bit-at-a-time reference. *)
 
 module Wire = Regionsel_persist.Wire
 open Fixtures
@@ -57,6 +57,85 @@ let word_readers () =
   check_true "seed words round-trip"
     (Int64.equal seed (Wire.seed_of_words ~hi:(Wire.seed_hi seed) ~lo:(Wire.seed_lo seed)))
 
+let fails f =
+  match f () with
+  | _ -> false
+  | exception Failure _ -> true
+  | exception e -> Alcotest.failf "raised %s, not Failure" (Printexc.to_string e)
+
+(* Every reader one byte short fails with [Failure], never
+   [Invalid_argument], whether the cursor ends at the buffer's end or
+   inside it. *)
+let cursor_short_reads () =
+  let buf = Bytes.make 16 '\000' in
+  Wire.set_u32 buf 4 2;
+  List.iter
+    (fun (label, at) ->
+      check_true (label ^ ": u8") (fails (fun () -> Wire.u8 (at 0) "f"));
+      check_true (label ^ ": u32") (fails (fun () -> Wire.u32 (at 3) "f"));
+      check_true (label ^ ": skip") (fails (fun () -> Wire.skip (at 4) "f" 5));
+      check_true (label ^ ": negative skip") (fails (fun () -> Wire.skip (at 4) "f" (-1))))
+    [
+      ("ending at the buffer's end", fun len -> Wire.cursor buf ~pos:(16 - len) ~len);
+      ("ending inside the buffer", fun len -> Wire.cursor buf ~pos:4 ~len);
+    ];
+  check_true "string body one byte short"
+    (fails (fun () -> Wire.string (Wire.cursor buf ~pos:4 ~len:5) "f" ~limit:8));
+  check_true "string length one byte short"
+    (fails (fun () -> Wire.string (Wire.cursor buf ~pos:4 ~len:3) "f" ~limit:8));
+  check_true "a range outside the buffer is a caller error"
+    (try ignore (Wire.cursor buf ~pos:12 ~len:5); false with Invalid_argument _ -> true)
+
+(* A cursor over a sub-range stops at its [len] although the buffer
+   continues: daemon frames sit inside the dechunker's larger buffer. *)
+let cursor_sub_range () =
+  let buf = Bytes.make 32 '\007' in
+  Wire.set_u32 buf 8 0xCAFE;
+  Wire.set_u32 buf 12 4;
+  let c = Wire.cursor buf ~pos:8 ~len:9 in
+  check_int "skip 0 is the position" 8 (Wire.skip c "f" 0);
+  check_int "u32" 0xCAFE (Wire.u32 c "f");
+  check_int "remaining" 5 (Wire.remaining c);
+  check_true "a string running past len is rejected"
+    (fails (fun () -> Wire.string c "f" ~limit:16));
+  let c = Wire.cursor buf ~pos:8 ~len:6 in
+  check_int "skip returns where the bytes start" 8 (Wire.skip c "f" 6);
+  check_true "nothing is read past len" (fails (fun () -> Wire.u8 c "f"));
+  let c = Wire.cursor buf ~pos:12 ~len:8 in
+  Alcotest.(check string) "a string inside len" "\007\007\007\007"
+    (Wire.string c "f" ~limit:4);
+  Wire.expect_end c "f"
+
+(* A string over [~limit], and one longer than the bytes left, are both
+   rejected before anything is allocated. *)
+let cursor_string_bounds () =
+  let n = 60_000 in
+  let buf = Bytes.make (4 + n) 'x' in
+  Wire.set_u32 buf 0 n;
+  let rejected what limit =
+    let before = Gc.allocated_bytes () in
+    let c = Wire.cursor buf ~pos:0 ~len:(4 + n) in
+    check_true what (fails (fun () -> Wire.string c "f" ~limit));
+    check_true (what ^ ", allocating less than the string")
+      (Gc.allocated_bytes () -. before < float_of_int (n / 2))
+  in
+  rejected "a string over its limit" (n - 1);
+  Wire.set_u32 buf 0 (n + 1);
+  rejected "a string longer than the bytes left" max_int;
+  Wire.set_u32 buf 0 0xFFFF_FFFF;
+  rejected "a 4 GiB length" max_int;
+  Wire.set_u32 buf 0 n;
+  check_int "the string at its limit reads" n
+    (String.length (Wire.string (Wire.cursor buf ~pos:0 ~len:(4 + n)) "f" ~limit:n))
+
+let cursor_exact_end () =
+  let buf = Bytes.make 5 '\000' in
+  let c = Wire.cursor buf ~pos:0 ~len:5 in
+  ignore (Wire.u32 c "f" : int);
+  check_true "one trailing byte is rejected" (fails (fun () -> Wire.expect_end c "f"));
+  ignore (Wire.u8 c "f" : int);
+  Wire.expect_end c "f"
+
 let qcheck_crc_matches_reference =
   QCheck.Test.make ~name:"crc32 of any range matches the bitwise reference" ~count:500
     QCheck.(triple (string_of_size (Gen.int_range 0 80)) small_nat small_nat)
@@ -81,6 +160,10 @@ let suite =
     case "crc32 check value" crc_check_value;
     case "u32 fields" u32_fields;
     case "two-word ints and their range checks" word_readers;
+    case "cursor: every reader one byte short fails" cursor_short_reads;
+    case "cursor: a sub-range is never read past" cursor_sub_range;
+    case "cursor: string bounds checked before allocating" cursor_string_bounds;
+    case "cursor: exact end rejects a trailing byte" cursor_exact_end;
     QCheck_alcotest.to_alcotest qcheck_crc_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_crc_chains;
   ]
