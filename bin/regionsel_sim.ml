@@ -219,8 +219,16 @@ let print_metrics ~json (result : Simulator.result) =
       List.iter (fun (s, l) -> Format.printf "  %8d %s@." s l) log.Faults.events
   end
 
+(* A damaged REVL recording: [Persist.Hard_corruption] raised while
+   reading [--events-in], kept apart so exit 5 names the right format. *)
+exception Recording_corruption of string
+
+let read_recording ~path ~program ~seed =
+  try Event_log.read_file ~path ~program ~seed
+  with Persist.Hard_corruption msg -> raise (Recording_corruption msg)
+
 (* Distinct, documented exit codes: 2 = CLI lookup error, 3 = invariant
-   violation, 4 = I/O error, 5 = snapshot hard corruption. *)
+   violation, 4 = I/O error, 5 = snapshot or recording hard corruption. *)
 let with_error_reporting f =
   try f () with
   | Check.Check_violation v ->
@@ -235,6 +243,9 @@ let with_error_reporting f =
     exit 4
   | Persist.Hard_corruption msg ->
     Printf.eprintf "snapshot hard corruption: %s\n%!" msg;
+    exit 5
+  | Recording_corruption msg ->
+    Printf.eprintf "recording hard corruption: %s\n%!" msg;
     exit 5
 
 (* Fan independent (spec, x) simulation tasks across domains.  Every run
@@ -392,7 +403,7 @@ let replay_cmd =
       metrics_recorder ~bench ~policy metrics_out metrics_window status
     in
     let events =
-      Event_log.read_file ~path:events_in ~program:(Spec.image spec).Image.program ~seed
+      read_recording ~path:events_in ~program:(Spec.image spec).Image.program ~seed
     in
     Printf.eprintf "events: replaying %d branch events from %s\n%!"
       (Branch_stream.length events) events_in;

@@ -46,6 +46,15 @@ type delta = {
   quants : (string * value) list;  (* cumulative at window end; [] sink-less *)
 }
 
+(* One label set's newest window, rendered for the Prometheus exporter:
+   its label block, one sample line per series name (first occurrence, in
+   window order) and its [windows_total] line. *)
+type rendered = {
+  rd_key : string;
+  rd_lines : (string * string) list;
+  rd_total : string;
+}
+
 type recorder = {
   r_labels : (string * string) list;
   r_every : int;
@@ -55,7 +64,15 @@ type recorder = {
   mutable r_prev_evictions : int;
   mutable r_prev_quota_rejects : int;
   mutable r_count : int;
-  mutable r_rev : window list;  (* newest first, bounded by [r_keep] *)
+  (* Retained windows: a ring of [r_len] slots starting at [r_head].  It
+     grows by doubling up to [r_keep]; once full, a push overwrites the
+     oldest slot. *)
+  mutable r_ring : window array;
+  mutable r_head : int;
+  mutable r_len : int;
+  (* The rendering of the newest window, tagged with the [r_count] it was
+     made at: a push bumps [r_count], so a stale memo never matches. *)
+  mutable r_memo : (int * rendered) option;
 }
 
 let zero_snapshot = Stats.snapshot (Stats.create ())
@@ -74,21 +91,25 @@ let create ?(window = default_window) ?keep ?notify ~labels () =
     r_prev_evictions = 0;
     r_prev_quota_rejects = 0;
     r_count = 0;
-    r_rev = [];
+    r_ring = [||];
+    r_head = 0;
+    r_len = 0;
+    r_memo = None;
   }
 
 let labels r = r.r_labels
 let window_size r = r.r_every
 let n_windows r = r.r_count
 
-let windows r = List.rev r.r_rev
+(* The [i]-th retained window, oldest first. *)
+let retained r i = r.r_ring.((r.r_head + i) mod Array.length r.r_ring)
+
+let windows r = List.init r.r_len (retained r)
 
 let last_windows r k =
-  let rec take n acc = function
-    | w :: rest when n > 0 -> take (n - 1) (w :: acc) rest
-    | _ -> acc
-  in
-  take k [] r.r_rev
+  let n = min k r.r_len in
+  let rec take i acc = if i < r.r_len - n then acc else take (i - 1) (retained r i :: acc) in
+  take (r.r_len - 1) []
 
 (* Upper bound of the log2 bucket where the cumulative count crosses the
    quantile rank — the standard reading of a log2 histogram. *)
@@ -180,13 +201,27 @@ let series_of_delta d =
 
 let push r w =
   r.r_count <- r.r_count + 1;
-  r.r_rev <- w :: r.r_rev;
-  (match r.r_keep with
-  | Some k ->
-    (* Flight-recorder mode: retain only the newest [k] windows. *)
-    if r.r_count > k then
-      r.r_rev <- List.filteri (fun i _ -> i < k) r.r_rev
-  | None -> ());
+  let cap = Array.length r.r_ring in
+  if Some r.r_len = r.r_keep then begin
+    (* Flight-recorder mode: the ring is full at [keep] slots, so the new
+       window takes the oldest one's. *)
+    r.r_ring.(r.r_head) <- w;
+    r.r_head <- (r.r_head + 1) mod cap
+  end
+  else begin
+    if r.r_len = cap then begin
+      let grown = max 8 (2 * cap) in
+      let grown = match r.r_keep with Some k -> min k grown | None -> grown in
+      let ring = Array.make grown w in
+      for i = 0 to r.r_len - 1 do
+        ring.(i) <- retained r i
+      done;
+      r.r_ring <- ring;
+      r.r_head <- 0
+    end;
+    r.r_ring.((r.r_head + r.r_len) mod Array.length r.r_ring) <- w;
+    r.r_len <- r.r_len + 1
+  end;
   match r.r_notify with None -> () | Some fn -> fn w
 
 let window_of_delta r d =
@@ -304,53 +339,115 @@ let prom_labels ls =
         (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (prom_escape v)) ls)
     ^ "}"
 
-(* One scrape-ready snapshot: the newest window of every label set (first
-   seen order), one sample per series.  Uniqueness holds by construction:
-   one window per label set, one value per series name within a window. *)
-let to_prometheus ws =
-  let keys = ref [] in
-  let last = Hashtbl.create 8 in
+let render key w =
+  let rec lines seen = function
+    | [] -> []
+    | (name, v) :: rest ->
+      if List.mem name seen then lines seen rest
+      else
+        (name, String.concat "" [ "regionsel_"; name; key; " "; value_to_string v; "\n" ])
+        :: lines (name :: seen) rest
+  in
+  {
+    rd_key = key;
+    rd_lines = lines [] w.w_values;
+    rd_total =
+      String.concat "" [ "regionsel_windows_total"; key; " "; string_of_int (w.w_index + 1); "\n" ];
+  }
+
+(* One label set per rendered key, at the position the key was first
+   seen, holding the entry with the greatest [pos]: the newest window of
+   that label set.  Distinct label lists can render to the same key. *)
+let merge_keys entries =
+  let cells = Hashtbl.create 16 in
+  let order = ref [] in
   List.iter
-    (fun w ->
-      let key = prom_labels w.w_labels in
-      if not (Hashtbl.mem last key) then keys := key :: !keys;
-      Hashtbl.replace last key w)
-    ws;
-  let keys = List.rev !keys in
-  let series_names = ref [] in
+    (fun (pos, rd) ->
+      match Hashtbl.find_opt cells rd.rd_key with
+      | Some cell -> if pos > fst !cell then cell := (pos, rd)
+      | None ->
+        let cell = ref (pos, rd) in
+        Hashtbl.add cells rd.rd_key cell;
+        order := cell :: !order)
+    entries;
+  List.rev_map (fun cell -> snd !cell) !order
+
+(* The exposition over one rendered entry per label set, in output order:
+   series in first-seen order, then [windows_total]; each series gets one
+   [# HELP]/[# TYPE] block holding every label set's line for it.  A value
+   named [windows_total] is a series position, not a line: that block
+   always carries the window counts. *)
+let exposition entries =
+  let per_series = Hashtbl.create 32 in
+  let names = ref [] in
   List.iter
-    (fun key ->
-      let w = Hashtbl.find last key in
+    (fun rd ->
       List.iter
-        (fun (name, _) ->
-          if not (List.mem name !series_names) then series_names := name :: !series_names)
-        w.w_values)
-    keys;
-  let series_names = List.rev !series_names @ [ "windows_total" ] in
+        (fun (name, line) ->
+          let lines =
+            match Hashtbl.find_opt per_series name with
+            | Some lines -> lines
+            | None ->
+              let lines = ref [] in
+              Hashtbl.add per_series name lines;
+              names := name :: !names;
+              lines
+          in
+          (* A value named [windows_total] only fixes a block's position. *)
+          if not (String.equal name "windows_total") then lines := line :: !lines)
+        rd.rd_lines)
+    entries;
+  let totals = List.map (fun rd -> rd.rd_total) entries in
   let buf = Buffer.create 4096 in
   List.iter
     (fun name ->
-      let metric = "regionsel_" ^ name in
-      let kind = if String.equal name "windows_total" then "counter" else "gauge" in
-      let lines =
-        List.filter_map
-          (fun key ->
-            let w = Hashtbl.find last key in
-            if String.equal name "windows_total" then
-              Some (Printf.sprintf "%s%s %d\n" metric key (w.w_index + 1))
-            else
-              Option.map
-                (fun v -> Printf.sprintf "%s%s %s\n" metric key (value_to_string v))
-                (List.assoc_opt name w.w_values))
-          keys
-      in
+      let total = String.equal name "windows_total" in
+      let lines = if total then totals else List.rev !(Hashtbl.find per_series name) in
       if lines <> [] then begin
+        let metric = "regionsel_" ^ name in
         Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" metric (help_of name));
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" metric kind);
+        Buffer.add_string buf
+          (Printf.sprintf "# TYPE %s %s\n" metric (if total then "counter" else "gauge"));
         List.iter (Buffer.add_string buf) lines
       end)
-    series_names;
+    (List.rev ("windows_total" :: !names));
   Buffer.contents buf
+
+(* One scrape-ready snapshot: the newest window of every label set (first
+   seen order), one sample per series.  Windows are grouped by label list
+   before any string is built, so lines are rendered only for each group's
+   newest window. *)
+let to_prometheus ws =
+  let groups = Hashtbl.create 16 in
+  let order = ref [] in
+  List.iteri
+    (fun pos w ->
+      match Hashtbl.find_opt groups w.w_labels with
+      | Some cell -> cell := (pos, w)
+      | None ->
+        let cell = ref (pos, w) in
+        Hashtbl.add groups w.w_labels cell;
+        order := cell :: !order)
+    ws;
+  exposition
+    (merge_keys
+       (List.rev_map
+          (fun cell ->
+            let pos, w = !cell in
+            (pos, render (prom_labels w.w_labels) w))
+          !order))
+
+let rendered r =
+  match r.r_memo with
+  | Some (count, rd) when count = r.r_count -> rd
+  | _ ->
+    let rd = render (prom_labels r.r_labels) (retained r (r.r_len - 1)) in
+    r.r_memo <- Some (r.r_count, rd);
+    rd
+
+let recorders_to_prometheus rs =
+  let sampled = List.filter (fun r -> r.r_len > 0) rs in
+  exposition (merge_keys (List.mapi (fun pos r -> (pos, rendered r)) sampled))
 
 let write_prometheus ~path ws =
   Regionsel_persist.Io.write_atomic ~path (Bytes.of_string (to_prometheus ws))

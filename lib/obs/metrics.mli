@@ -48,9 +48,10 @@ val create :
 (** A fresh recorder with a zero baseline.  [window] (default
     {!default_window}) is the boundary period used by {!hook}; explicit
     {!sample} calls (barrier sampling) ignore it.  [keep] bounds retention
-    to the newest [keep] windows — flight-recorder mode; the default
-    retains everything.  [notify] fires on every closed window (the
-    [--status] reporter).
+    to the newest [keep] windows — flight-recorder mode, a ring that
+    drops the oldest window in O(1) per sample; the default retains
+    everything.  [notify] fires on every closed window (the [--status]
+    reporter).
     @raise Invalid_argument on a non-positive [window] or [keep]. *)
 
 val labels : recorder -> (string * string) list
@@ -92,7 +93,18 @@ val to_prometheus : window list -> string
 (** Scrape-ready text exposition: the newest window of each label set
     (first-seen order), one [# HELP]/[# TYPE] block per series, plus a
     [regionsel_windows_total] counter per label set.  Never emits
-    duplicate series (one window per label set, one value per name). *)
+    duplicate series (one window per label set, one value per name).
+    Lines are rendered only for each label set's newest window; an older
+    window costs one hash-table lookup on its label list. *)
+
+val recorders_to_prometheus : recorder list -> string
+(** [to_prometheus (List.concat_map windows rs)], byte for byte, at a
+    cost proportional to the number of recorders rather than of windows.
+    Memo invariant: a recorder keeps the lines of its newest window,
+    tagged with {!n_windows} at the time they were rendered; every sample
+    bumps that count, so a recorder with no new window since the last
+    scrape costs one string append per series, and a finished one is
+    rendered once. *)
 
 val write_prometheus : path:string -> window list -> unit
 

@@ -115,9 +115,11 @@ let recorder_for t ~tenant ~policy =
     Queue.add r t.recorder_order;
     r
 
+let recorders t = List.of_seq (Queue.to_seq t.recorder_order)
+
 (* The windows [select] picks from each recorder, recorders in first-seen
-   order: the one walk behind prom, jsonl and the flight dump. *)
-let windows t select = List.concat_map select (List.of_seq (Queue.to_seq t.recorder_order))
+   order: the one walk behind jsonl and the flight dump. *)
+let windows t select = List.concat_map select (recorders t)
 
 (* Barrier observation, exactly as the CLI fleet runs: one window per
    participating tenant per round. *)
@@ -356,7 +358,7 @@ let handle_ctrl t conn cmd =
   match String.split_on_char ' ' (String.trim cmd) with
   | [ "ping" ] -> reply "pong"
   | [ "status" ] -> reply (status_text t)
-  | [ "prom" ] -> reply (Metrics.to_prometheus (windows t Metrics.windows))
+  | [ "prom" ] -> reply (Metrics.recorders_to_prometheus (recorders t))
   | [ "jsonl" ] -> reply (Metrics.to_jsonl (windows t Metrics.windows))
   | [ "jsonl"; n ] -> (
     match int_of_string_opt n with

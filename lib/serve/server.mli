@@ -6,7 +6,11 @@
     the loop runs batch-barrier rounds, each tenant's advance bounded by
     the events its connection has ingested so far.  Control connections
     serve live exports (Prometheus snapshot, JSONL tail) from per-tenant
-    metrics recorders sampled at every barrier.
+    metrics recorders sampled at every barrier.  A [ctrl prom] scrape is
+    O(tenants), not O(retained windows): it reads each recorder's
+    memoized rendering ({!Regionsel_obs.Metrics.recorders_to_prometheus}),
+    so a tenant with no new window since the last scrape — every
+    finished one — costs one string append per series.
 
     Admission control answers Hello with a typed Reject when tenant slots
     or the shared cache budget saturate.  A connection accepted on a

@@ -2,6 +2,7 @@
 """Validate the windowed-metrics exporters' output.
 
 Usage: validate_metrics.py SERIES.jsonl [SNAPSHOT.prom ...]
+       validate_metrics.py --cross-check SNAPSHOT SERIES.jsonl
 
 JSONL files: every line must be a standalone JSON object with the fixed
 record shape ({series, labels, window, start_step, end_step, value}),
@@ -15,6 +16,16 @@ with a finite value, and no duplicate (name, labels) series.
 A flight-recorder JSONL (first line carrying a "flight" key) is accepted
 too: the header is validated for its reproducer line, the remaining
 lines as ordinary records.
+
+--cross-check validates SNAPSHOT as Prometheus text (whatever its file
+name) and SERIES as JSONL, both taken from the same source with no
+window closed in between (the daemon's `ctrl prom` and `ctrl jsonl`
+after its streams finish), then checks one against the other: the two
+cover the same label sets, every prom sample equals its label set's
+newest JSONL window value for that series, every series of that window
+has a sample, and regionsel_windows_total equals the label set's window
+count (newest window index + 1; the number of JSONL windows when the
+export retains them all).
 """
 import json
 import math
@@ -93,6 +104,75 @@ def validate_jsonl(path):
     print(f"{path}: {n} records, {len(per_labels)} label sets ok")
 
 
+def read_jsonl_windows(path):
+    """{labels tuple: {window index: {series: value}}}, flight header skipped."""
+    sets = {}
+    with open(path) as f:
+        for line in f:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            if "flight" in rec:
+                continue
+            key = tuple(rec["labels"].items())
+            sets.setdefault(key, {}).setdefault(rec["window"], {})[rec["series"]] = rec["value"]
+    return sets
+
+
+def prom_unescape(v):
+    return re.sub(r"\\(.)", lambda m: "\n" if m.group(1) == "n" else m.group(1), v)
+
+
+def read_prometheus_samples(path):
+    """{labels tuple: {series: value text}}, series without the regionsel_ prefix."""
+    sets = {}
+    with open(path) as f:
+        for line in f:
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            name, labels, value = SAMPLE_RE.match(line).groups()
+            if not name.startswith("regionsel_"):
+                fail(f"{path}: sample {name} lacks the regionsel_ prefix")
+            key = tuple((k, prom_unescape(v)) for k, v in LABEL_RE.findall(labels or ""))
+            sets.setdefault(key, {})[name[len("regionsel_"):]] = value
+    return sets
+
+
+def cross_check(prom_path, jsonl_path):
+    validate_prometheus(prom_path)
+    validate_jsonl(jsonl_path)
+    prom = read_prometheus_samples(prom_path)
+    series = read_jsonl_windows(jsonl_path)
+    if set(prom) != set(series):
+        fail(
+            f"label sets differ: prom only {sorted(set(prom) - set(series))}, "
+            f"jsonl only {sorted(set(series) - set(prom))}"
+        )
+    checked = 0
+    for key, windows in series.items():
+        newest = max(windows)
+        samples = dict(prom[key])
+        total = samples.pop("windows_total", None)
+        if total is None:
+            fail(f"{key}: no regionsel_windows_total sample")
+        if int(total) != newest + 1:
+            fail(f"{key}: windows_total {total}, newest jsonl window is {newest}")
+        if min(windows) == 0 and int(total) != len(windows):
+            fail(f"{key}: windows_total {total}, jsonl holds {len(windows)} windows")
+        expected = windows[newest]
+        if set(samples) != set(expected):
+            fail(
+                f"{key}: prom series {sorted(samples)} != newest jsonl window's "
+                f"{sorted(expected)}"
+            )
+        for name, text in samples.items():
+            if float(text) != float(expected[name]):
+                fail(f"{key}: {name} is {text} in prom, {expected[name]!r} in jsonl window {newest}")
+            checked += 1
+    print(f"{prom_path} vs {jsonl_path}: {checked} samples over {len(series)} label sets agree")
+
+
 def validate_prometheus(path):
     typed, helped, seen = set(), set(), set()
     samples = 0
@@ -136,8 +216,14 @@ def validate_prometheus(path):
 
 
 def main(argv):
-    if len(argv) < 2:
-        fail("usage: validate_metrics.py FILE.jsonl [FILE.prom ...]")
+    if len(argv) == 4 and argv[1] == "--cross-check":
+        cross_check(argv[2], argv[3])
+        return
+    if len(argv) < 2 or argv[1].startswith("--"):
+        fail(
+            "usage: validate_metrics.py FILE.jsonl [FILE.prom ...]\n"
+            "       validate_metrics.py --cross-check SNAPSHOT SERIES.jsonl"
+        )
     for path in argv[1:]:
         if path.endswith(".prom"):
             validate_prometheus(path)

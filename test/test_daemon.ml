@@ -675,6 +675,85 @@ let control_surface_serves_live_exports () =
       | Ok text -> check_true "status reports rounds" (astring_contains text "rounds")
       | _ -> Alcotest.fail "status failed")
 
+(* Sample lines of a scrape as (series, tenant, value), HELP/TYPE skipped. *)
+let prom_samples text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.map (fun l ->
+         let brace = String.index l '{' and sp = String.rindex l ' ' in
+         let tenant =
+           let start = String.index l '"' + 1 in
+           String.sub l start (String.index_from l start '"' - start)
+         in
+         (String.sub l 0 brace, tenant, String.sub l (sp + 1) (String.length l - sp - 1)))
+
+let windows_total text tenant =
+  List.find_map
+    (fun (series, t, v) ->
+      if series = "regionsel_windows_total" && t = tenant then Some (int_of_string v) else None)
+    (prom_samples text)
+
+let scrape socket_path =
+  match Client.ctrl ~socket_path "prom" with
+  | Ok text -> text
+  | Error _ -> Alcotest.fail "prom scrape failed"
+
+(* The scrape reads each recorder's memoized lines.  A resumed tenant
+   keeps its recorder, so a scrape cached before the resume must not
+   hide the windows sampled after it; finished tenants stay one label set
+   each, scrape after scrape. *)
+let scrape_tracks_resumed_and_finished_tenants () =
+  with_daemon (fun ~dir ~socket_path ->
+      (match stream ~socket_path ~tenant:"alpha" ~truncate_at:3000 () with
+      | Client.Truncated n -> check_true "sent a prefix" (n > 0)
+      | Client.Finished _ -> Alcotest.fail "truncated stream finished");
+      let state = Filename.concat dir "state" in
+      check_true "session detached and snapshotted"
+        (eventually (fun () ->
+             Array.exists (fun f -> Filename.check_suffix f ".session") (Sys.readdir state)));
+      let before = scrape socket_path in
+      let total_before =
+        match windows_total before "alpha" with
+        | Some n -> n
+        | None -> Alcotest.fail "no windows for alpha before the resume"
+      in
+      Alcotest.(check string) "an unchanged daemon scrapes the same bytes" before
+        (scrape socket_path);
+      (match stream ~socket_path ~tenant:"alpha" () with
+      | Client.Finished json -> Alcotest.(check string) "resumed result" (solo_json ()) json
+      | Client.Truncated _ -> Alcotest.fail "unexpected truncation");
+      (match windows_total (scrape socket_path) "alpha" with
+      | Some n ->
+        check_true
+          (Printf.sprintf "windows_total grew across the resume (%d -> %d)" total_before n)
+          (n > total_before)
+      | None -> Alcotest.fail "alpha vanished from the scrape");
+      let finished = [ "alpha"; "beta"; "gamma"; "delta" ] in
+      List.iter
+        (fun tenant ->
+          if tenant <> "alpha" then
+            match stream ~socket_path ~tenant () with
+            | Client.Finished _ -> ()
+            | Client.Truncated _ -> Alcotest.fail "unexpected truncation")
+        finished;
+      let text = scrape socket_path in
+      Alcotest.(check string) "finished tenants scrape the same bytes" text (scrape socket_path);
+      let samples = prom_samples text in
+      let series = List.sort_uniq compare (List.map (fun (s, _, _) -> s) samples) in
+      check_true "every window series and windows_total" (List.length series > 10);
+      List.iter
+        (fun s ->
+          List.iter
+            (fun tenant ->
+              check_int
+                (Printf.sprintf "%s appears once for %s" s tenant)
+                1
+                (List.length (List.filter (fun (s', t, _) -> s' = s && t = tenant) samples)))
+            finished)
+        series;
+      check_int "no other label sets" (List.length series * List.length finished)
+        (List.length samples))
+
 let suite =
   [
     case "write_all survives a slow nonblocking reader" write_all_survives_slow_nonblocking_reader;
@@ -696,5 +775,6 @@ let suite =
     case "daemon close mid-stream surfaces as an error" daemon_close_mid_stream_surfaces_as_error;
     case "dying client never kills the daemon" dying_client_never_kills_the_daemon;
     case "control surface serves live exports" control_surface_serves_live_exports;
+    case "scrape tracks resumed and finished tenants" scrape_tracks_resumed_and_finished_tenants;
     case "idle connection flood is rejected, not fatal" idle_connection_flood_is_rejected_not_fatal;
   ]

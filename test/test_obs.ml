@@ -201,6 +201,121 @@ let prometheus_grammar_and_uniqueness () =
       end)
     lines
 
+(* ---- Keep-mode ring and the memoized scrape ---- *)
+
+(* A bounded recorder sampled beside an unbounded one must export exactly
+   the unbounded one's tail, at every point of its life: while the ring
+   grows, once it is full, and after it wraps many times over. *)
+let keep_ring_is_the_unbounded_tail () =
+  let spec = Option.get (Suite.find "gzip") in
+  List.iter
+    (fun keep ->
+      let all = Metrics.create ~labels () in
+      let kept = Metrics.create ~keep ~labels () in
+      let compare_exports () =
+        let n = Metrics.n_windows all in
+        let tag what = Printf.sprintf "keep %d after %d samples: %s" keep n what in
+        check_int (tag "n_windows") n (Metrics.n_windows kept);
+        check_true (tag "windows")
+          (compare (Metrics.last_windows all keep) (Metrics.windows kept) = 0);
+        List.iter
+          (fun k ->
+            check_true
+              (tag (Printf.sprintf "last_windows %d" k))
+              (compare (Metrics.last_windows all (min k keep)) (Metrics.last_windows kept k) = 0))
+          [ -1; 0; 1; 2; keep - 1; keep; keep + 1 ];
+        Alcotest.(check string) (tag "prometheus")
+          (Metrics.to_prometheus (Metrics.windows all))
+          (Metrics.recorders_to_prometheus [ kept ])
+      in
+      let hook =
+        {
+          Simulator.win_every = 10;
+          win_fn =
+            (fun ~step ~stats ~ctx ->
+              Metrics.sample all ~step ~stats ~ctx;
+              Metrics.sample kept ~step ~stats ~ctx;
+              let n = Metrics.n_windows all in
+              if n <= 8 || abs (n - keep) <= 1 || abs (n - (2 * keep)) <= 1 || n mod 97 = 0
+              then compare_exports ());
+        }
+      in
+      let result =
+        Simulator.run ~params:Params.default ~seed:1L ~on_window:hook
+          ~policy:(policy_exn "net") ~max_steps:25_005 (Spec.image spec)
+      in
+      Metrics.finalize all result;
+      Metrics.finalize kept result;
+      check_true "more than 2,000 samples" (Metrics.n_windows all > 2_000);
+      compare_exports ();
+      Alcotest.(check string) "jsonl is the unbounded tail"
+        (Metrics.to_jsonl (Metrics.last_windows all keep))
+        (Metrics.to_jsonl (Metrics.windows kept)))
+    [ 1; 3; 256 ]
+
+(* The memo model test: several recorders (two sharing a label set, one
+   bounded) over live simulations, with samples, partial renders and
+   finalizes interleaved at random.  After every step the memoized scrape
+   must equal the all-windows renderer: a push that failed to invalidate
+   a recorder's cached lines shows up as a stale sample or count. *)
+type memo_op = Sample of int | Render of int | Finalize of int
+
+let memo_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun i -> Sample i) (int_bound 3));
+        (3, map (fun i -> Render i) (int_bound 3));
+        (1, map (fun i -> Finalize i) (int_bound 3));
+      ])
+
+let print_memo_op = function
+  | Sample i -> Printf.sprintf "Sample %d" i
+  | Render i -> Printf.sprintf "Render %d" i
+  | Finalize i -> Printf.sprintf "Finalize %d" i
+
+let qcheck_memoized_scrape_tracks_every_push =
+  QCheck.Test.make ~name:"memoized scrape = to_prometheus after every step" ~count:60
+    (QCheck.make
+       ~print:(QCheck.Print.list print_memo_op)
+       QCheck.Gen.(list_size (int_range 1 40) memo_op_gen))
+    (fun ops ->
+      let shared = [ ("tenant", "shared"); ("policy", "net") ] in
+      let tenants =
+        [|
+          ("gzip", "net", shared, None);
+          ("twolf", "lei", [ ("tenant", "twolf"); ("policy", "lei") ], Some 2);
+          ("mcf", "net", shared, None);
+          ("vpr", "lei", [ ("tenant", "vpr"); ("policy", "lei") ], None);
+        |]
+      in
+      let sims =
+        Array.map
+          (fun (bench, pname, _, _) ->
+            Simulator.create ~seed:3L ~policy:(policy_exn pname) ~max_steps:3_000
+              (Spec.image (Option.get (Suite.find bench))))
+          tenants
+      in
+      let rs =
+        Array.map (fun (_, _, labels, keep) -> Metrics.create ?keep ~labels ()) tenants
+      in
+      let all = Array.to_list rs in
+      let agrees () =
+        String.equal
+          (Metrics.recorders_to_prometheus all)
+          (Metrics.to_prometheus (List.concat_map Metrics.windows all))
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Sample i ->
+            Simulator.advance sims.(i) ~upto:(Simulator.steps sims.(i) + 250);
+            Simulator.sample sims.(i) (Metrics.sample rs.(i))
+          | Render i -> ignore (Metrics.recorders_to_prometheus [ rs.(i) ])
+          | Finalize i -> Metrics.finalize rs.(i) (Simulator.finish sims.(i)));
+          agrees ())
+        ops)
+
 (* ---- Multi-stream fleets ---- *)
 
 let fleet_specs =
@@ -314,6 +429,8 @@ let suite =
     case "jsonl byte-identical across reruns" jsonl_is_byte_identical_across_reruns;
     case "jsonl one record per series per window" jsonl_records_are_one_per_series_per_window;
     case "prometheus grammar and uniqueness" prometheus_grammar_and_uniqueness;
+    case "keep ring is the unbounded tail" keep_ring_is_the_unbounded_tail;
+    QCheck_alcotest.to_alcotest qcheck_memoized_scrape_tracks_every_push;
     case "fleet jsonl identical across domain counts" fleet_jsonl_identical_across_domain_counts;
     case "fleet aggregate sums steps" fleet_aggregate_sums_steps;
     case "flight dump writes header and ring" flight_dump_writes_header_and_ring;
