@@ -138,10 +138,9 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
   let sbuf = Interp.make_step () in
   (* Branch-event source: the live interpreter, or a recorded stream.  The
      clean-run fast path keeps the direct [Interp.step_into] call; replay
-     pays one option compare per step either way. *)
+     pays one option compare per step either way, and so does [record],
+     whose absence allocates nothing. *)
   let replay_stream = Option.map Branch_stream.of_events replay in
-  let has_record = Option.is_some record in
-  let rec_events = match record with Some ev -> ev | None -> Branch_stream.recorder () in
   let ib = { Policy.block = Program.block_of_id program 0; taken = false; next = Addr.none } in
   let interp_event = Policy.Interp_block ib in
   (* Selection events are policy decisions, stamped before the install is
@@ -582,7 +581,7 @@ let create ?(params = Params.default) ?(seed = 1L) ?(telemetry = Telemetry.none)
     then halted := true
     else begin
       stats.Stats.steps <- stats.Stats.steps + 1;
-      if has_record then Branch_stream.append rec_events sbuf;
+      (match record with None -> () | Some ev -> Branch_stream.append ev sbuf);
       if sbuf.Interp.taken then stats.Stats.taken_branches <- stats.Stats.taken_branches + 1;
       let block = Program.block_of_id program sbuf.Interp.block_id in
       let next = sbuf.Interp.next in

@@ -15,7 +15,7 @@
    [Bitbuf] call takes (past 2^16 blocks) goes as two calls, its high
    bits then its low 32, which gives the same bits.  For the bundled
    workloads (tens to hundreds of blocks) that is ~2 bytes per event
-   against the 24 bytes of the in-memory arrays.
+   against the 16 bytes (two ints) of the in-memory recording.
 
    Unlike snapshots there is no per-section degrade path: a recording with
    any corrupt byte cannot be replayed bit-identically, which is its whole
@@ -51,31 +51,33 @@ let layout program =
 let max_events_of l = 0xFFFF_FFFF / l.width
 let max_events program = max_events_of (layout program)
 
+(* The encoder walks the recording one chunk at a time: slot [2k] is
+   already the field's top part, [(block_id lsl 1) lor taken]. *)
 let pack_range l w events ~pos ~len =
   if len > max_events_of l then
     invalid_arg
       (Printf.sprintf "Event_log: %d events exceed the format's %d-event limit" len
          (max_events_of l));
-  for i = pos to pos + len - 1 do
-    let block_id = Branch_stream.get_block_id events i in
-    if block_id >= l.n_blocks then invalid_arg "Event_log.encode: block id outside the program";
-    let taken = Bool.to_int (Branch_stream.get_taken events i) in
-    let next = Branch_stream.get_next events i in
-    let code =
-      if next = Addr.none then 0
-      else begin
-        let id = Program.block_id l.program next in
-        if id < 0 then invalid_arg "Event_log.encode: successor is not a block start";
-        id + 1
-      end
-    in
-    let v = (((block_id lsl 1) lor taken) lsl l.kn) lor code in
-    if l.width <= 32 then Bitbuf.Writer.add_bits w v l.width
-    else begin
-      Bitbuf.Writer.add_bits w (v lsr 32) (l.width - 32);
-      Bitbuf.Writer.add_bits w (v land 0xFFFF_FFFF) 32
-    end
-  done
+  Branch_stream.iter_range events ~pos ~len (fun slots ~first ~count ->
+      for k = first to first + count - 1 do
+        let p = Array.unsafe_get slots (2 * k) in
+        if p lsr 1 >= l.n_blocks then invalid_arg "Event_log.encode: block id outside the program";
+        let next = Array.unsafe_get slots ((2 * k) + 1) in
+        let code =
+          if next = Addr.none then 0
+          else begin
+            let id = Program.block_id l.program next in
+            if id < 0 then invalid_arg "Event_log.encode: successor is not a block start";
+            id + 1
+          end
+        in
+        let v = (p lsl l.kn) lor code in
+        if l.width <= 32 then Bitbuf.Writer.add_bits w v l.width
+        else begin
+          Bitbuf.Writer.add_bits w (v lsr 32) (l.width - 32);
+          Bitbuf.Writer.add_bits w (v land 0xFFFF_FFFF) 32
+        end
+      done)
 
 let unpack l r ~n_events ~into =
   let code_mask = (1 lsl l.kn) - 1 in
@@ -164,7 +166,7 @@ let decode bytes ~program ~seed =
         try Wire.nonneg63 ~hi:count_hi ~lo:count_lo
         with Failure m -> failwith ("event count " ^ m))
   in
-  let events = Branch_stream.recorder ~capacity:n_events () in
+  let events = Branch_stream.recorder () in
   unpack l r ~n_events ~into:events;
   events
 

@@ -61,13 +61,16 @@ type session = {
   s_events : Branch_stream.events;
       (* This attachment's ingest buffer, also the sim's replay source:
          [Branch_stream.of_events] reads the live length, so appending
-         here feeds the running simulation. *)
+         here feeds the running simulation.  After every engine round the
+         consumed chunks are released, so it holds the backlog plus at
+         most one partly consumed chunk. *)
   s_base : int;  (* steps already consumed when this attachment began *)
   s_snap : string;  (* snapshot path (session identity file) *)
   mutable s_fin : bool;
 }
 
 let available s = s.s_base + Branch_stream.length s.s_events
+let consumed s = Simulator.steps s.s_sim - s.s_base
 let backlog s = available s - Simulator.steps s.s_sim
 
 type conn = {
@@ -344,8 +347,10 @@ let status_text t =
       let line =
         match attached_session t name with
         | Some s ->
-          Printf.sprintf "tenant %s steps %d backlog %d fin %b exhausted %b\n" name
-            (Simulator.steps sim) (backlog s) s.s_fin (Simulator.exhausted sim)
+          Printf.sprintf "tenant %s steps %d backlog %d resident %d fin %b exhausted %b\n" name
+            (Simulator.steps sim) (backlog s)
+            (Branch_stream.resident s.s_events)
+            s.s_fin (Simulator.exhausted sim)
         | None ->
           Printf.sprintf "tenant %s steps %d detached\n" name (Simulator.steps sim)
       in
@@ -446,6 +451,17 @@ let finish_ready t =
       | _ -> ())
     t.conns
 
+(* The engine only reads forward: drop every whole chunk each attached
+   session has consumed, so its ingest memory is bounded by its backlog
+   (at most [ingest_max] while reading) plus one partly consumed chunk. *)
+let release_consumed t =
+  Queue.iter
+    (fun c ->
+      match c.c_session with
+      | Some s -> Branch_stream.release s.s_events ~upto:(consumed s)
+      | None -> ())
+    t.conns
+
 (* Pending engine work: unconsumed events behind a simulation that can
    still consume them.  An exhausted simulation's backlog never drains,
    so counting it would pin the select timeout at zero and busy-spin the
@@ -536,6 +552,7 @@ let loop t stop =
        work interleave, and a slow or stalled client never blocks either
        (its tenant just has nothing to advance). *)
     ignore (Multi_stream.Engine.round t.engine ~limit:(fun ~name ~sim -> step_limit t ~name ~sim));
+    release_consumed t;
     finish_ready t;
     (* The single place a connection fd is closed: closed AND drained.
        The live ones go back in the queue in their order. *)

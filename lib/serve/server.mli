@@ -19,7 +19,14 @@
     connection's ingest backlog to [ingest_max] unconsumed events by
     removing the socket from the read set — the client's writes block in
     the kernel; the daemon never buffers unboundedly — resuming below
-    half the bound.  A tenant whose simulation is exhausted (step budget
+    half the bound.  Ingest memory follows the backlog: after every
+    engine round the loop releases each attached session's consumed
+    chunks ({!Regionsel_engine.Branch_stream.release}), so a session holds
+    at most its unconsumed backlog plus one partly consumed 4096-event
+    chunk, 16 bytes per event, however long it streams.  The backlog is
+    [ingest_max] plus at most the frames of the read that crossed it;
+    [ctrl status] shows both per attached tenant ([backlog N],
+    [resident N]).  A tenant whose simulation is exhausted (step budget
     spent or program halted) is never paused: its backlog cannot drain,
     so the remaining events are absorbed to reach the Fin behind them.
     Outgoing frames are queued per connection and flushed through the

@@ -99,12 +99,12 @@ let recorder_basics () =
        false
      with Invalid_argument _ -> true)
 
-let recorder_capacity_and_truncate () =
-  let ev = Branch_stream.recorder ~capacity:0 () in
+let recorder_truncate () =
+  let ev = Branch_stream.recorder () in
   for i = 0 to 99 do
     Branch_stream.append_event ev ~block_id:i ~taken:(i mod 2 = 0) ~next:(i + 1)
   done;
-  check_int "a zero-capacity recorder grows" 100 (Branch_stream.length ev);
+  check_int "appended" 100 (Branch_stream.length ev);
   Branch_stream.truncate ev 40;
   check_int "truncated" 40 (Branch_stream.length ev);
   Branch_stream.append_event ev ~block_id:7 ~taken:true ~next:Addr.none;
@@ -112,9 +112,175 @@ let recorder_capacity_and_truncate () =
   check_int "earlier events kept" 39 (Branch_stream.get_block_id ev 39);
   let rejects n = try Branch_stream.truncate ev n; false with Invalid_argument _ -> true in
   check_true "cannot truncate past the end" (rejects 42);
-  check_true "cannot truncate to a negative length" (rejects (-1));
-  check_true "negative capacity rejected"
-    (try ignore (Branch_stream.recorder ~capacity:(-1) ()); false with Invalid_argument _ -> true)
+  check_true "cannot truncate to a negative length" (rejects (-1))
+
+(* The chunked store against a model: a map from index to event, a
+   length, and a released mark that rises to whole chunks.  Random
+   appends, truncates, releases, reads and replay pulls must agree with
+   it, reads of released indices must raise, and lengths cross chunk
+   edges (4095, 4096, 4097 and several chunks).  Every appended event
+   carries a fresh serial, so a read of a slot left over from before a
+   truncate shows. *)
+type store_op =
+  | Append of int
+  | Truncate of int  (* permille of the way from the released mark to the end; outside 0-1000 is invalid *)
+  | Release of int  (* permille of the length *)
+  | Pull of int * int  (* reader, pulls *)
+  | Get of int  (* permille of the length *)
+  | Walk of int * int  (* start, length: permille of the length *)
+  | Fresh of int  (* a new replay in this reader slot *)
+
+let show_op = function
+  | Append n -> Printf.sprintf "Append %d" n
+  | Truncate f -> Printf.sprintf "Truncate %d" f
+  | Release f -> Printf.sprintf "Release %d" f
+  | Pull (r, n) -> Printf.sprintf "Pull (%d, %d)" r n
+  | Get f -> Printf.sprintf "Get %d" f
+  | Walk (f, g) -> Printf.sprintf "Walk (%d, %d)" f g
+  | Fresh r -> Printf.sprintf "Fresh %d" r
+
+let raises f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+let run_store_ops ops =
+  let chunk = Branch_stream.chunk_len in
+  let ev = Branch_stream.recorder () in
+  let model = Hashtbl.create 1024 and len = ref 0 and released = ref 0 and serial = ref 0 in
+  let readers = Array.init 2 (fun _ -> (Branch_stream.of_events ev, ref 0)) in
+  let st = Interp.make_step () in
+  let ok = ref true in
+  let expect what b =
+    if not b then begin
+      ok := false;
+      Printf.printf "store model: %s disagrees\n" what
+    end
+  in
+  let frac f n = n * f / 1000 in
+  let readable i = i >= !released && i < !len in
+  let apply op =
+    match op with
+    | Append n ->
+      for _ = 1 to n do
+        incr serial;
+        let e = (!serial mod 1000, !serial land 1 = 1, if !serial mod 13 = 0 then Addr.none else 2 * !serial) in
+        let block_id, taken, next = e in
+        Branch_stream.append_event ev ~block_id ~taken ~next;
+        Hashtbl.replace model !len e;
+        incr len
+      done
+    | Truncate f ->
+      let n = if f < 0 then !released - 1 else !released + frac f (!len - !released) + if f > 1000 then 1 else 0 in
+      if n < !released || n > !len then expect "truncate outside" (raises (fun () -> Branch_stream.truncate ev n))
+      else begin
+        Branch_stream.truncate ev n;
+        len := n
+      end
+    | Release f ->
+      let upto = frac f !len + if f > 1000 then 1 else 0 in
+      if upto > !len then expect "release past the end" (raises (fun () -> Branch_stream.release ev ~upto))
+      else begin
+        Branch_stream.release ev ~upto;
+        released := max !released (upto / chunk * chunk)
+      end
+    | Pull (r, n) ->
+      let stream, pos = readers.(r) in
+      let rec go k =
+        if k > 0 then
+          if !pos >= !len then expect "pull at the end" (not (Branch_stream.next_into stream st))
+          else if !pos < !released then
+            expect "pull of a released event" (raises (fun () -> Branch_stream.next_into stream st))
+          else begin
+            let got = Branch_stream.next_into stream st in
+            let b, t, x = Hashtbl.find model !pos in
+            expect "pulled event"
+              (got && st.Interp.block_id = b && st.Interp.taken = t && st.Interp.next = x);
+            incr pos;
+            go (k - 1)
+          end
+      in
+      go n
+    | Get f ->
+      let i = frac f (!len + 10) - 5 in
+      if readable i then begin
+        let b, t, x = Hashtbl.find model i in
+        expect "get"
+          (Branch_stream.get_block_id ev i = b
+          && Branch_stream.get_taken ev i = t
+          && Branch_stream.get_next ev i = x)
+      end
+      else
+        expect "get of an unreadable index"
+          (raises (fun () -> Branch_stream.get_block_id ev i)
+          && raises (fun () -> Branch_stream.get_taken ev i)
+          && raises (fun () -> Branch_stream.get_next ev i))
+    | Walk (f, g) ->
+      let pos = frac f !len and n = frac g !len in
+      let walk () =
+        let seen = ref [] in
+        Branch_stream.iter_range ev ~pos ~len:n (fun slots ~first ~count ->
+            expect "walk stays in one chunk" (first >= 0 && count > 0 && first + count <= chunk);
+            for k = first to first + count - 1 do
+              seen := (slots.(2 * k), slots.((2 * k) + 1)) :: !seen
+            done);
+        List.rev !seen
+      in
+      if n > 0 && (pos < !released || pos + n > !len) then expect "walk of unreadable events" (raises walk)
+      else
+        expect "walk"
+          (walk ()
+          = List.init n (fun k ->
+                let b, t, x = Hashtbl.find model (pos + k) in
+                ((b lsl 1) lor Bool.to_int t, x)))
+    | Fresh r -> readers.(r) <- (Branch_stream.of_events ev, ref 0)
+  in
+  List.iter
+    (fun op ->
+      if !ok then begin
+        apply op;
+        if not !ok then Printf.printf "  after %s\n" (show_op op);
+        expect "length" (Branch_stream.length ev = !len);
+        expect "resident" (Branch_stream.resident ev = !len - !released)
+      end)
+    ops;
+  !ok
+
+let store_op_gen =
+  let open QCheck.Gen in
+  let count = oneof [ int_range 0 300; oneofl [ 4095; 4096; 4097; 8192; (3 * 4096) + 5 ] ] in
+  frequency
+    [
+      (4, map (fun n -> Append n) count);
+      (2, map (fun f -> Truncate f) (int_range (-50) 1050));
+      (1, map (fun f -> Release f) (int_range 0 1050));
+      (4, map2 (fun r n -> Pull (r, n)) (int_range 0 1) count);
+      (2, map (fun f -> Get f) (int_range 0 1000));
+      (2, map2 (fun f g -> Walk (f, g)) (int_range 0 1000) (int_range 0 1000));
+      (1, map (fun r -> Fresh r) (int_range 0 1));
+    ]
+
+let qcheck_store_model =
+  QCheck.Test.make ~name:"chunked store agrees with a list model" ~count:150
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) store_op_gen))
+    run_store_ops
+
+(* The edges the random schedule may miss, spelled out. *)
+let store_model_edges () =
+  let scenario what ops = check_true what (run_store_ops ops) in
+  scenario "lengths at the chunk edge"
+    [ Append 4095; Pull (0, 5000); Append 1; Pull (0, 2); Append 1; Pull (0, 2); Get 999; Walk (0, 1000) ];
+  scenario "append after a truncate into a chunk the replay has read"
+    [ Append 5000; Pull (0, 4500); Truncate 840; Pull (0, 10); Append 2000; Pull (0, 3000);
+      Pull (1, 7000) ];
+  scenario "truncate above a replay's position in its chunk, then append"
+    [ Append 6000; Pull (0, 4200); Truncate 900; Pull (0, 1000); Append 100; Pull (0, 2000) ];
+  scenario "truncate under a replay's position, then refill past it"
+    [ Append 6000; Pull (0, 5500); Truncate 500; Pull (0, 1); Append 5000; Pull (0, 6000) ];
+  scenario "release under a replay mid-chunk"
+    [ Append 9000; Pull (0, 100); Pull (1, 8500); Release 1000; Pull (0, 1); Pull (1, 600);
+      Fresh 0; Pull (0, 1); Get 10; Walk (0, 500); Walk (950, 50) ];
+  scenario "truncate below the released mark is refused"
+    [ Append 10000; Release 900; Truncate (-1); Truncate 0; Append 4097; Pull (0, 1) ]
 
 (* [of_events] delivers exactly the recorded events then reports a halt,
    and [of_interp] over a fresh interpreter reproduces the recording. *)
@@ -374,6 +540,51 @@ let decode_batch_failure_leaves_into_unchanged () =
   append_range 700 2201;
   check_true "good batch after a rejected one appends exactly" (Branch_stream.equal into expected)
 
+(* The same rollback where the rejected batch crosses a chunk edge, under
+   a replay that has already read every event before it. *)
+let rollback_across_a_chunk_edge () =
+  let spec = Option.get (Suite.find "gzip") in
+  let program = (Spec.image spec).Image.program in
+  let events = record_of spec "net" in
+  let into = Branch_stream.recorder () in
+  check_int "prefix appended" 4090
+    (Event_log.decode_batch
+       (Event_log.encode_batch ~program events ~pos:0 ~len:4090)
+       ~program ~into);
+  let replay = Branch_stream.of_events into and st = Interp.make_step () in
+  let pull_all () =
+    let got = ref [] in
+    while Branch_stream.next_into replay st do
+      got := (st.Interp.block_id, st.Interp.taken, st.Interp.next) :: !got
+    done;
+    List.rev !got
+  in
+  let expected lo hi =
+    List.init (hi - lo) (fun k ->
+        let i = lo + k in
+        ( Branch_stream.get_block_id events i,
+          Branch_stream.get_taken events i,
+          Branch_stream.get_next events i ))
+  in
+  check_true "replay reads the prefix" (pull_all () = expected 0 4090);
+  let bad = forged_batch ~program events ~pos:4090 ~len:100 ~bad_at:(4090 + 49) in
+  (match Event_log.decode_batch bad ~program ~into with
+  | (_ : int) -> Alcotest.fail "a batch with an out-of-program block id was accepted"
+  | exception Persist.Hard_corruption _ -> ());
+  check_int "length unchanged after the rejected batch" 4090 (Branch_stream.length into);
+  check_true "the replay sees nothing of the rejected batch" (pull_all () = []);
+  check_int "good batch appended" 100
+    (Event_log.decode_batch
+       (Event_log.encode_batch ~program events ~pos:4090 ~len:100)
+       ~program ~into);
+  check_true "the replay reads exactly the good batch" (pull_all () = expected 4090 4190);
+  check_true "random access agrees"
+    (List.init 4190 (fun i ->
+         ( Branch_stream.get_block_id into i,
+           Branch_stream.get_taken into i,
+           Branch_stream.get_next into i ))
+    = expected 0 4190)
+
 (* A corrupt recording must never reach the engine: the CLI contract is
    exit-code 5, here the exception at decode time. *)
 let replay_after_round_trip_is_identical () =
@@ -393,7 +604,9 @@ let replay_after_round_trip_is_identical () =
 let suite =
   [
     case "recorder basics" recorder_basics;
-    case "recorder capacity and truncate" recorder_capacity_and_truncate;
+    case "recorder truncate" recorder_truncate;
+    case "chunked store: edge schedules agree with the model" store_model_edges;
+    QCheck_alcotest.to_alcotest qcheck_store_model;
     case "producers agree (live vs recorded)" stream_producers_agree;
     case "matrix: live == replay, byte-identical" matrix_clean;
     case "matrix: live == replay under mixed faults" matrix_mixed_faults;
@@ -405,5 +618,6 @@ let suite =
     case "event-log rejects an out-of-range event count" codec_rejects_count_high_word;
     case "decode_batch failure leaves the target unchanged"
       decode_batch_failure_leaves_into_unchanged;
+    case "decode_batch rollback across a chunk edge" rollback_across_a_chunk_edge;
     case "replay through the codec is bit-identical" replay_after_round_trip_is_identical;
   ]

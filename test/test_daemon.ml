@@ -522,6 +522,73 @@ let exhausted_tenant_still_drains_and_finishes () =
           (solo_json ~max_steps ()) json
       | Client.Truncated _ -> Alcotest.fail "unexpected truncation")
 
+(* A session's ingest memory follows its backlog: after every round the
+   daemon releases the chunks its engine has consumed, so [ctrl status]'s
+   [resident] (events held in unreleased chunks) never exceeds [backlog]
+   by a whole chunk.  Batches of 1000 events never line up with the
+   store's chunks, and the Result still equals the solo replay. *)
+let resident_ingest_follows_the_backlog () =
+  let n = 200_000 and tenant = "long" in
+  let image = Spec.image (spec_exn bench) and policy = policy_exn "net" in
+  let events = Branch_stream.recorder () in
+  ignore (Simulator.run ~seed ~record:events ~policy ~max_steps:n image);
+  check_int "recorded" n (Branch_stream.length events);
+  let solo =
+    Run_metrics.to_json
+      (Run_metrics.of_result (Simulator.run ~seed ~replay:events ~policy ~max_steps:n image))
+  in
+  with_daemon ~ingest_max:2048 (fun ~dir:_ ~socket_path ->
+      let samples = ref 0 and max_resident = ref 0 in
+      let sample () =
+        match Client.ctrl ~socket_path "status" with
+        | Error _ -> Alcotest.fail "status failed"
+        | Ok text ->
+          List.iter
+            (fun line ->
+              match
+                Scanf.sscanf line "tenant %s steps %_d backlog %d resident %d" (fun t b r ->
+                    (t, b, r))
+              with
+              | t, backlog, resident when t = tenant ->
+                incr samples;
+                max_resident := max !max_resident resident;
+                if resident - backlog >= Branch_stream.chunk_len then
+                  Alcotest.failf "resident %d, backlog %d: a consumed chunk was kept" resident
+                    backlog
+              | _ -> ()
+              | exception (Scanf.Scan_failure _ | End_of_file | Failure _) -> ())
+            (String.split_on_char '\n' text)
+      in
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX socket_path);
+          Proto.write_msg fd
+            (Proto.Hello
+               { h_tenant = tenant; h_bench = bench; h_policy = "net"; h_seed = seed;
+                 h_max_steps = n });
+          (match Proto.read_msg fd with
+          | Some (Proto.Welcome { resume_step = 0; _ }) -> ()
+          | _ -> Alcotest.fail "expected a fresh welcome");
+          let pos = ref 0 in
+          while !pos < n do
+            let len = min 1000 (n - !pos) in
+            Proto.write_msg fd
+              (Proto.Events
+                 (Regionsel_persist.Event_log.encode_batch ~program:(program ()) events ~pos:!pos
+                    ~len));
+            pos := !pos + len;
+            sample ()
+          done;
+          Proto.write_msg fd Proto.Fin;
+          match Proto.read_msg fd with
+          | Some (Proto.Result json) ->
+            Alcotest.(check string) "daemon result = solo replay" solo json;
+            check_true "status sampled the session throughout" (!samples >= 100);
+            check_true "far less resident than streamed" (!max_resident < n / 4)
+          | _ -> Alcotest.fail "expected a Result"))
+
 let stalled_control_reader_does_not_stall_the_daemon () =
   with_daemon (fun ~dir:_ ~socket_path ->
       (* Populate the recorders so export replies have real bulk. *)
@@ -771,6 +838,7 @@ let suite =
     case "admission rejects are typed" admission_rejects_are_typed;
     case "backpressured tenant does not stall others" backpressured_tenant_does_not_stall_others;
     case "exhausted tenant still drains and finishes" exhausted_tenant_still_drains_and_finishes;
+    case "resident ingest follows the backlog" resident_ingest_follows_the_backlog;
     case "stalled control reader does not stall the daemon" stalled_control_reader_does_not_stall_the_daemon;
     case "daemon close mid-stream surfaces as an error" daemon_close_mid_stream_surfaces_as_error;
     case "dying client never kills the daemon" dying_client_never_kills_the_daemon;
